@@ -164,6 +164,7 @@ Cluster::Cluster(const ClusterOptions& options)
         });
   }
   dead_.assign(workers, false);
+  live_workers_ = workers;
   declared_dead_.assign(workers, false);
   death_time_.assign(workers, 0);
   death_kind_.assign(workers, faults::FaultKind::kTransient);
@@ -567,7 +568,7 @@ bool Cluster::checksum_fails(NodeId holder, BlockId block, Bytes bytes) {
 
 void Cluster::mark_replica_corrupt(NodeId holder, BlockId block) {
   if (data_nodes_[static_cast<std::size_t>(holder)]->corrupt_replica(block)) {
-    ++corrupt_replicas_injected_;
+    ++result_.corrupt_replicas;
     if (tracer_ != nullptr) tracer_->replica_corrupted(holder, block);
   }
 }
@@ -576,13 +577,13 @@ void Cluster::record_data_loss(BlockId block) {
   // One loss event per block: repeated reads of the same corrupt last copy
   // must not inflate the count.
   if (!data_loss_blocks_.insert(block).second) return;
-  ++data_loss_events_;
+  ++result_.data_loss_events;
   if (tracer_ != nullptr) tracer_->data_loss(block);
 }
 
 storage::NameNode::BadBlockResult Cluster::handle_bad_block(BlockId block,
                                                             NodeId holder) {
-  ++corrupt_reads_;
+  ++result_.corrupt_reads;
   if (tracer_ != nullptr) tracer_->checksum_failed(holder, block);
   const auto verdict = name_node_->report_bad_block(block, holder);
   switch (verdict) {
@@ -590,7 +591,7 @@ storage::NameNode::BadBlockResult Cluster::handle_bad_block(BlockId block,
       const auto h = static_cast<std::size_t>(holder);
       data_nodes_[h]->quarantine_replica(block);
       policies_[h]->on_replica_dropped(block);
-      ++replicas_quarantined_;
+      ++result_.replicas_quarantined;
       if (options_.enable_rereplication &&
           name_node_->is_under_replicated(block)) {
         queue_repair(block);
@@ -637,7 +638,7 @@ Cluster::ReadPlan Cluster::plan_read(NodeId worker, BlockId block, Bytes bytes,
       // partitioned boundary, burned one connect timeout, and moved on to a
       // reachable copy (or the archival fallback below).
       plan.duration += from_seconds(options_.netfault.connect_timeout_s);
-      ++unreachable_reads_;
+      ++result_.unreachable_reads;
     }
     if (src == kInvalidNode) {
       // Every other replica is on a dead or unreachable node or burned by
@@ -750,7 +751,7 @@ void Cluster::launch_speculative(NodeId worker, JobId job,
   const sched::MapTaskSpec task = jobs_.job(job).spec.maps[map_index];
   const storage::BlockMeta meta = name_node_->block(task.block);
   slots_.take_map(w);
-  ++speculative_launched_;
+  ++result_.speculative_launched;
 
   const bool node_local = locator_->is_local(worker, task.block);
   if (tracer_ != nullptr) {
@@ -801,7 +802,7 @@ SimDuration Cluster::straggler_compute(NodeId worker, SimDuration compute) {
   // straggler stream position never depends on which node runs the task.
   const double factor = straggler_process_->sample_task_inflation();
   if (factor > 1.0) {
-    ++tail_inflations_;
+    ++result_.tail_inflations;
     scaled *= factor;
   }
   return static_cast<SimDuration>(scaled);
@@ -834,7 +835,7 @@ void Cluster::straggler_decision(NodeId worker) {
     detected_slow_[w] = false;
     progress_ewma_[w] = 0.0;
     progress_samples_[w] = 0;
-    ++straggler_readmissions_;
+    ++result_.straggler_readmissions;
     if (tracer_ != nullptr) tracer_->straggler_cleared(worker);
     try_assign_node(worker);
     return;
@@ -854,7 +855,7 @@ void Cluster::straggler_decision(NodeId worker) {
   // 16x so a recovered node is not sidelined forever.
   const auto shift = std::min<std::size_t>(slow_strikes_[w] - 1, 4);
   slow_until_[w] = sim_.now() + (options_.straggler_backoff << shift);
-  ++stragglers_detected_;
+  ++result_.stragglers_detected;
   if (tracer_ != nullptr) {
     tracer_->straggler_detected(worker, progress_ewma_[w]);
   }
@@ -893,7 +894,7 @@ void Cluster::launch_clone(NodeId worker, JobId job, std::size_t map_index) {
   const sched::MapTaskSpec task = jobs_.job(job).spec.maps[map_index];
   const storage::BlockMeta meta = name_node_->block(task.block);
   slots_.take_map(w);
-  ++clones_launched_;
+  ++result_.clones_launched;
   ++running_clones_;
   jobs_.launch_clone(job);
 
@@ -988,7 +989,7 @@ void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
   // but reports failure. Unlike a kill by node loss, this *does* count
   // against the Hadoop retry budget.
   if (fault_process_ && fault_process_->sample_task_failure()) {
-    ++task_attempt_failures_;
+    ++result_.task_attempt_failures;
     if (tracer_ != nullptr) {
       tracer_->task_attempt_fault(worker, job,
                                   static_cast<std::int64_t>(map_index));
@@ -996,7 +997,7 @@ void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
     if (was_clone) {
       // For the wins + killed == launched ledger a faulted clone counts as
       // killed; its whole runtime was wasted.
-      ++clones_killed_;
+      ++result_.clones_killed;
       clone_wasted_work_ += from_seconds(duration_s);
       if (tracer_ != nullptr) tracer_->clone_killed(worker, job, map_index);
     }
@@ -1010,7 +1011,7 @@ void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
       // No speculative sibling still running: back to the pending queue.
       if (tracer_ != nullptr) tracer_->map_requeued(worker, job, map_index);
       jobs_.requeue_running_map(job, map_index, state.original_locality);
-      ++task_reexecutions_;
+      ++result_.task_reexecutions;
       running_maps_.erase(state_it);
     }
     try_assign_all();
@@ -1018,8 +1019,8 @@ void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
   }
 
   // This attempt wins the task.
-  if (was_speculative) ++speculative_wins_;
-  if (was_clone) ++clone_wins_;
+  if (was_speculative) ++result_.speculative_wins;
+  if (was_clone) ++result_.clone_wins;
   if (tracer_ != nullptr) {
     tracer_->map_finished(worker, job, map_index, duration_s, was_speculative);
   }
@@ -1050,7 +1051,7 @@ void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
       // A losing clone retires here whether its completion was still
       // pending (a real kill) or already fired as a zombie on a dead node —
       // the erase below destroys it either way, unseen by any later sweep.
-      ++clones_killed_;
+      ++result_.clones_killed;
       clone_wasted_work_ += sim_.now() - other.started;
       if (tracer_ != nullptr) tracer_->clone_killed(other.node, job, map_index);
       retire_clone(job);
@@ -1058,7 +1059,7 @@ void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
       tracer_->map_killed(other.node, job, map_index);
     }
     if (cancelled) {
-      if (!other.clone) ++speculative_killed_;
+      if (!other.clone) ++result_.speculative_killed;
       if (other.holds_flow) {
         network_->flow_finished(other.flow_src, other.node);
       }
@@ -1196,7 +1197,7 @@ void Cluster::launch_reduce(NodeId worker, JobId job) {
         running_reduces_.erase(it);
         slots_.give_reduce(wi);
         if (fault_process_ && fault_process_->sample_task_failure()) {
-          ++task_attempt_failures_;
+          ++result_.task_attempt_failures;
           if (tracer_ != nullptr) {
             tracer_->task_attempt_fault(
                 worker, job, static_cast<std::int64_t>(attempt_id));
@@ -1212,7 +1213,7 @@ void Cluster::launch_reduce(NodeId worker, JobId job) {
                                      static_cast<std::int64_t>(attempt_id));
           }
           jobs_.requeue_running_reduce(job);
-          ++task_reexecutions_;
+          ++result_.task_reexecutions;
           try_assign_all();
           return;
         }
@@ -1234,11 +1235,7 @@ void Cluster::fail_node(NodeId worker, faults::FaultKind kind,
                         SimDuration downtime) {
   const auto w = static_cast<std::size_t>(worker);
   if (dead_[w]) return;  // double-kill of an already-dead worker: no-op
-  std::size_t live_physical = 0;
-  for (std::size_t i = 0; i < dead_.size(); ++i) {
-    if (!dead_[i]) ++live_physical;
-  }
-  if (live_physical <= 1) {
+  if (live_workers_ <= 1) {
     throw std::logic_error("Cluster: cannot fail the last live worker");
   }
   obs::PhaseScope prof(profiler_, obs::Phase::kChurn);
@@ -1246,20 +1243,21 @@ void Cluster::fail_node(NodeId worker, faults::FaultKind kind,
     tracer_->node_failed(worker, static_cast<int>(kind), to_seconds(downtime));
   }
   dead_[w] = true;
+  --live_workers_;
   death_time_[w] = sim_.now();
   death_kind_[w] = kind;
   ++fault_epoch_[w];
   slots_.clear_node(w);
   heartbeat_event_[w].cancel();
   next_failure_[w].cancel();
-  ++node_failures_;
+  ++result_.node_failures;
   if (kind == faults::FaultKind::kPermanent) {
-    ++permanent_failures_;
+    ++result_.permanent_failures;
     // The disk is gone with the node; blocks only it held are lost unless
     // another replica survives somewhere.
     data_nodes_[w]->wipe_disk();
   } else {
-    ++transient_failures_;
+    ++result_.transient_failures;
     const std::uint64_t epoch = fault_epoch_[w];
     recover_event_[w] =
         sim_.after(std::max<SimDuration>(downtime, from_millis(1)),
@@ -1293,7 +1291,7 @@ void Cluster::declare_node_dead(NodeId worker) {
                  "Cluster: declaring a physically live, reachable node dead "
                  "(node " + std::to_string(w) + ")");
   declared_dead_[w] = true;
-  ++failures_detected_;
+  ++result_.failures_detected;
   detection_latency_total_ +=
       sim_.now() -
       (dead_[w] ? death_time_[w]
@@ -1338,7 +1336,7 @@ void Cluster::cleanup_node_attempts(NodeId worker) {
     }
     if (att_it->clone) {
       // The node died with the clone on it: its budget comes back here.
-      ++clones_killed_;
+      ++result_.clones_killed;
       clone_wasted_work_ += sim_.now() - att_it->started;
       if (tracer_ != nullptr) {
         tracer_->clone_killed(worker, sweep_job, sweep_index);
@@ -1353,7 +1351,7 @@ void Cluster::cleanup_node_attempts(NodeId worker) {
       const auto map_index = static_cast<std::size_t>(key & 0xFFFFF);
       if (tracer_ != nullptr) tracer_->map_requeued(worker, job, map_index);
       jobs_.requeue_running_map(job, map_index, state.original_locality);
-      ++task_reexecutions_;
+      ++result_.task_reexecutions;
       running_maps_.erase(it);
     }
   }
@@ -1370,7 +1368,7 @@ void Cluster::cleanup_node_attempts(NodeId worker) {
                                static_cast<std::int64_t>(it->first));
     }
     jobs_.requeue_running_reduce(it->second.job);
-    ++task_reexecutions_;
+    ++result_.task_reexecutions;
     it = running_reduces_.erase(it);
   }
 }
@@ -1381,6 +1379,7 @@ void Cluster::recover_node(NodeId worker, std::uint64_t epoch) {
   if (run_finished()) return;
   obs::PhaseScope prof(profiler_, obs::Phase::kChurn);
   dead_[w] = false;
+  ++live_workers_;
   ++fault_epoch_[w];
   if (declared_dead_[w] && node_partitioned(w)) {
     // The node rebooted behind a still-partitioned uplink: the master
@@ -1394,7 +1393,7 @@ void Cluster::recover_node(NodeId worker, std::uint64_t epoch) {
   if (declared_dead_[w]) {
     reregister_node(worker);
   } else {
-    ++node_rejoins_;
+    ++result_.node_rejoins;
     // Blip shorter than the detection timeout: the name node never
     // noticed, its metadata is still correct, and the disk (and policy
     // state) is intact. But the rebooted tracker does not resume tasks —
@@ -1415,7 +1414,7 @@ void Cluster::reregister_node(NodeId worker) {
   const auto w = static_cast<std::size_t>(worker);
   auto& dn = *data_nodes_[w];
   declared_dead_[w] = false;
-  ++node_rejoins_;
+  ++result_.node_rejoins;
   // Full re-registration: anything the tracker had queued for its next
   // block report is stale (a dead process lost it; a partitioned one may
   // have marked replicas the master re-replicated meanwhile); the disk
@@ -1431,7 +1430,7 @@ void Cluster::reregister_node(NodeId worker) {
     if (name_node_->locations(b).empty()) {
       record_data_loss(b);
     } else if (dn.quarantine_replica(b)) {
-      ++replicas_quarantined_;
+      ++result_.replicas_quarantined;
       // The name node holds no location for this copy, so the tracer
       // event comes from the cluster glue.
       if (tracer_ != nullptr) tracer_->replica_quarantined(worker, b);
@@ -1448,7 +1447,7 @@ void Cluster::reregister_node(NodeId worker) {
     // surplus now, drop it (exactly once — node_rejoined prunes only what
     // it just adopted back above target).
     dn.remove_static_block(pruned);
-    ++overreplication_prunes_;
+    ++result_.overreplication_prunes;
   }
   // The policy's in-memory state (recency lists, aging ring, budgets) is
   // stale; rebuild it from the surviving replicas.
@@ -1481,11 +1480,7 @@ void Cluster::schedule_stochastic_failure(NodeId worker, std::uint64_t epoch) {
         const std::size_t floor = std::max<std::size_t>(
             fault_process_->params().min_live_workers, 2);
         for (NodeId victim : victims) {
-          std::size_t live = 0;
-          for (std::size_t i = 0; i < dead_.size(); ++i) {
-            if (!dead_[i]) ++live;
-          }
-          if (live <= floor) break;  // keep the cluster schedulable
+          if (live_workers_ <= floor) break;  // keep the cluster schedulable
           if (dead_[static_cast<std::size_t>(victim)]) continue;
           fail_node(victim, sample.kind, sample.downtime);
         }
@@ -1524,7 +1519,7 @@ void Cluster::begin_degrade(NodeId worker, SimDuration duration,
   const auto w = static_cast<std::size_t>(worker);
   if (degraded_[w]) return;
   degraded_[w] = true;
-  ++degraded_onsets_;
+  ++result_.degraded_onsets;
   if (tracer_ != nullptr) {
     tracer_->node_degraded(worker, rack_correlated,
                            options_.stragglers.compute_slowdown);
@@ -1536,7 +1531,7 @@ void Cluster::begin_degrade(NodeId worker, SimDuration duration,
 void Cluster::end_degrade(NodeId worker) {
   const auto w = static_cast<std::size_t>(worker);
   degraded_[w] = false;
-  ++degraded_recoveries_;
+  ++result_.degraded_recoveries;
   if (tracer_ != nullptr) tracer_->node_degrade_ended(worker);
   if (run_finished()) return;
   schedule_degrade_onset(worker);  // the chain continues until the run ends
@@ -1571,7 +1566,7 @@ void Cluster::begin_partition(RackId rack, SimDuration duration) {
   rack_partitioned_[r] = true;
   rack_partition_start_[r] = sim_.now();
   network_->set_rack_partitioned(rack, true);
-  ++partition_episodes_;
+  ++result_.partition_episodes;
   if (tracer_ != nullptr) {
     tracer_->partition_started(rack, to_seconds(duration));
   }
@@ -1585,7 +1580,7 @@ void Cluster::end_partition(RackId rack) {
   obs::PhaseScope prof(profiler_, obs::Phase::kChurn);
   rack_partitioned_[r] = false;
   network_->set_rack_partitioned(rack, false);
-  ++partitions_healed_;
+  ++result_.partitions_healed;
   if (tracer_ != nullptr) tracer_->partition_healed(rack);
   for (std::size_t w = 0; w < data_nodes_.size(); ++w) {
     if (node_rack_[w] != rack) continue;
@@ -1630,7 +1625,7 @@ void Cluster::begin_link_degrade(RackId rack, SimDuration duration) {
   const auto r = static_cast<std::size_t>(rack);
   if (run_finished() || network_->uplink_degraded(rack)) return;
   network_->set_uplink_degraded(rack, true);
-  ++link_degrade_episodes_;
+  ++result_.link_degrade_episodes;
   if (tracer_ != nullptr) {
     tracer_->link_degraded(rack, to_seconds(duration));
   }
@@ -1661,7 +1656,7 @@ void Cluster::fail_job(JobId job) {
       if (attempt.clone) {
         // Clone retirement must happen for zombies too (cancel() == false):
         // the erase below destroys the attempt unseen by any later sweep.
-        ++clones_killed_;
+        ++result_.clones_killed;
         clone_wasted_work_ += sim_.now() - attempt.started;
         if (tracer_ != nullptr) {
           tracer_->clone_killed(attempt.node, job, map_index);
@@ -1702,7 +1697,7 @@ void Cluster::fail_job(JobId job) {
     it = running_reduces_.erase(it);
   }
   jobs_.fail_job(job, sim_.now());
-  ++failed_jobs_;
+  ++result_.failed_jobs;
   if (tracer_ != nullptr) tracer_->job_failed(job);
   if (run_finished()) cancel_pending_churn();
   try_assign_all();
@@ -1722,7 +1717,7 @@ void Cluster::note_node_task_failure(NodeId worker) {
   }
   if (usable <= 2) return;
   blacklisted_[w] = true;
-  ++blacklisted_total_;
+  ++result_.blacklisted_nodes;
 }
 
 void Cluster::cancel_pending_churn() {
@@ -1758,7 +1753,7 @@ void Cluster::queue_repair(BlockId block) {
   // stamp (repair latency measures first queue entry to repair-copy
   // registration) and at most gets upgraded to critical in place.
   if (repairs_.enqueue(block, classify_repair(block), sim_.now())) {
-    ++repairs_enqueued_;
+    ++result_.repairs_enqueued;
   }
   if (!repair_tick_scheduled_) {
     repair_tick_scheduled_ = true;
@@ -1783,7 +1778,7 @@ void Cluster::on_replica_delta(BlockId block, NodeId node, bool added) {
   if (added) {
     const auto it = unavail_open_.find(block);
     if (it != unavail_open_.end()) {
-      ++unavailability_windows_;
+      ++result_.unavailability_windows;
       unavailability_total_ += sim_.now() - it->second;
       unavail_open_.erase(it);
     }
@@ -1801,7 +1796,7 @@ void Cluster::on_replica_delta(BlockId block, NodeId node, bool added) {
   } else {
     const auto it = one_replica_open_.find(block);
     if (it != one_replica_open_.end()) {
-      ++one_replica_windows_;
+      ++result_.one_replica_windows;
       one_replica_total_ += sim_.now() - it->second;
       one_replica_open_.erase(it);
     }
@@ -1855,7 +1850,7 @@ void Cluster::retry_repair(RepairScheduler::Entry entry) {
     abandon_repair(entry);
     return;
   }
-  ++repair_retries_;
+  ++result_.repair_retries;
   ++entry.retries;
   // Exponential backoff, shift-capped so a long outage can't overflow the
   // arithmetic; the heal-time tick drains the queue regardless of backoff
@@ -1875,12 +1870,11 @@ void Cluster::retry_repair(RepairScheduler::Entry entry) {
 }
 
 void Cluster::abandon_repair(const RepairScheduler::Entry&) {
-  ++repairs_abandoned_;
+  ++result_.repairs_abandoned;
 }
 
 void Cluster::land_repair(const RepairScheduler::Entry& entry) {
-  ++repairs_landed_;
-  ++rereplicated_blocks_;
+  ++result_.repairs_landed;
   // Repair latency measures first queue entry to repair-copy registration
   // (retries included — backoff time is real exposure time).
   repair_latency_total_ += sim_.now() - entry.enqueued;
@@ -1912,7 +1906,7 @@ void Cluster::rereplication_tick() {
         e.cls == RepairClass::kBulk) {
       // A critical entry is waiting on uplink bandwidth: bulk repairs must
       // not steal the capacity it is waiting for.
-      ++repair_preemptions_;
+      ++result_.repair_preemptions;
       if (tracer_ != nullptr) tracer_->repair_preempted(e.block);
       deferred.push_back(e);
       continue;
@@ -2028,7 +2022,7 @@ void Cluster::rereplication_tick() {
       if (netfault_active_ && !network_->reachable(src, dst)) {
         // A partition severed the transfer mid-flight; the bytes never
         // landed. Retry from a reachable replica after backoff.
-        ++repair_timeouts_;
+        ++result_.repair_timeouts;
         retry_repair(e);
         return;
       }
@@ -2041,7 +2035,7 @@ void Cluster::rereplication_tick() {
       if (!name_node_->is_under_replicated(e.block)) {
         // A rejoin beat the transfer: the in-flight copy is surplus and is
         // discarded on arrival.
-        ++overreplication_prunes_;
+        ++result_.overreplication_prunes;
         abandon_repair(e);
         return;
       }
@@ -2174,7 +2168,8 @@ void Cluster::scarlett_epoch() {
           if (data_nodes_[cand]->insert_dynamic(meta)) {
             // Proactive replication costs real network traffic — the core
             // difference from DARE's piggybacked replicas.
-            scarlett_bytes_moved_ += static_cast<std::uint64_t>(meta.size);
+            result_.proactive_replication_bytes +=
+                static_cast<std::uint64_t>(meta.size);
             break;
           }
         }
@@ -2194,8 +2189,10 @@ void Cluster::validate() const {
     throw std::logic_error("Cluster::validate: " + what);
   };
 
-  // Slot accounting.
+  // Slot accounting, and the live-worker count against a recount.
+  std::size_t live = 0;
   for (std::size_t w = 0; w < data_nodes_.size(); ++w) {
+    if (!dead_[w]) ++live;
     if (slots_.free_maps(w) > options_.map_slots_per_node) {
       fail("map slot overflow on node " + std::to_string(w));
     }
@@ -2214,6 +2211,10 @@ void Cluster::validate() const {
            " advertises free slots");
     }
   }
+  if (live != live_workers_) {
+    fail("live-worker count " + std::to_string(live_workers_) +
+         " != recount " + std::to_string(live));
+  }
 
   // Repair-queue audit: membership index and queue agree, and every
   // first-time enqueue is accounted for — queued, in flight, landed, or
@@ -2221,13 +2222,13 @@ void Cluster::validate() const {
   if (!repairs_.consistent()) {
     fail("repair scheduler membership index diverges from its queue");
   }
-  if (repairs_enqueued_ !=
-      repairs_landed_ + repairs_abandoned_ + repairs_.size() +
-          repairs_inflight_) {
+  if (result_.repairs_enqueued != result_.repairs_landed +
+                                      result_.repairs_abandoned +
+                                      repairs_.size() + repairs_inflight_) {
     fail("repair ledger out of balance: enqueued " +
-         std::to_string(repairs_enqueued_) + " != landed " +
-         std::to_string(repairs_landed_) + " + abandoned " +
-         std::to_string(repairs_abandoned_) + " + queued " +
+         std::to_string(result_.repairs_enqueued) + " != landed " +
+         std::to_string(result_.repairs_landed) + " + abandoned " +
+         std::to_string(result_.repairs_abandoned) + " + queued " +
          std::to_string(repairs_.size()) + " + inflight " +
          std::to_string(repairs_inflight_));
   }
@@ -2433,10 +2434,10 @@ void Cluster::on_job_retired(const sched::JobRuntime& rt) {
   jm.failed = rt.failed;
   // arrival_seq is dense (admission order), so indexing by it reproduces
   // the all_jobs() iteration order of the old end-of-run collection loop.
-  if (job_metrics_.size() <= rt.arrival_seq) {
-    job_metrics_.resize(rt.arrival_seq + 1);
+  if (result_.jobs.size() <= rt.arrival_seq) {
+    result_.jobs.resize(rt.arrival_seq + 1);
   }
-  job_metrics_[rt.arrival_seq] = jm;
+  result_.jobs[rt.arrival_seq] = jm;
 
   // The job's per-task side tables die with it.
   job_map_stats_.erase(rt.spec.id);
@@ -2447,8 +2448,6 @@ void Cluster::on_job_retired(const sched::JobRuntime& rt) {
 }
 
 metrics::RunResult Cluster::collect_results() {
-  metrics::RunResult result;
-
   // Close out the repair ledger: entries still queued at teardown (e.g.
   // waiting out a backoff for a heal that never came) are terminally
   // abandoned, in priority order so the drain itself is deterministic.
@@ -2456,94 +2455,55 @@ metrics::RunResult Cluster::collect_results() {
 
   // Per-job metrics: snapshotted by on_job_retired as each job finished
   // (the only copy — runtimes are released at retirement).
-  if (job_metrics_.size() != total_jobs_) {
+  if (result_.jobs.size() != total_jobs_) {
     throw std::logic_error("Cluster: job metrics incomplete at run end");
   }
-  result.jobs = std::move(job_metrics_);
 
   // Replication activity.
   for (const auto& policy : policies_) {
-    result.dynamic_replicas_created += policy->replicas_created();
+    result_.dynamic_replicas_created += policy->replicas_created();
   }
   for (const auto& dn : data_nodes_) {
-    result.dynamic_replica_disk_writes += dn->dynamic_insertions();
+    result_.dynamic_replica_disk_writes += dn->dynamic_insertions();
   }
-  result.proactive_replication_bytes = scarlett_bytes_moved_;
-  result.task_reexecutions = task_reexecutions_;
-  result.rereplicated_blocks = rereplicated_blocks_;
-  result.blocks_lost = name_node_->lost_block_count();
-  result.speculative_launched = speculative_launched_;
-  result.speculative_wins = speculative_wins_;
-  result.speculative_killed = speculative_killed_;
-  result.degraded_onsets = degraded_onsets_;
-  result.degraded_recoveries = degraded_recoveries_;
-  result.tail_inflations = tail_inflations_;
-  result.stragglers_detected = stragglers_detected_;
-  result.straggler_readmissions = straggler_readmissions_;
-  result.clones_launched = clones_launched_;
-  result.clone_wins = clone_wins_;
-  result.clones_killed = clones_killed_;
-  result.clone_wasted_work_s = to_seconds(clone_wasted_work_);
-  result.node_failures = node_failures_;
-  result.transient_failures = transient_failures_;
-  result.permanent_failures = permanent_failures_;
-  result.failures_detected = failures_detected_;
-  result.detection_latency_total_s = to_seconds(detection_latency_total_);
-  result.node_rejoins = node_rejoins_;
-  result.overreplication_prunes = overreplication_prunes_;
-  result.task_attempt_failures = task_attempt_failures_;
-  result.failed_jobs = failed_jobs_;
-  result.blacklisted_nodes = blacklisted_total_;
+  // Every landed repair is one name-node repair copy.
+  result_.rereplicated_blocks = result_.repairs_landed;
+  result_.blocks_lost = name_node_->lost_block_count();
 
-  // Data-integrity accounting. Windows still open at run end close at the
-  // makespan so unavailability_total_s never undercounts.
-  result.corrupt_reads = corrupt_reads_;
-  result.corrupt_replicas = corrupt_replicas_injected_;
-  result.replicas_quarantined = replicas_quarantined_;
-  result.data_loss_events = data_loss_events_;
-  result.repair_latency_total_s = to_seconds(repair_latency_total_);
+  // Unavailability and one-replica exposure windows still open at run end
+  // close at the makespan, so neither total undercounts.
   // dare-lint: allow(unordered-iteration) -- commutative summation; the
   // result is independent of iteration order.
   for (const auto& [block, opened] : unavail_open_) {
-    ++unavailability_windows_;
+    ++result_.unavailability_windows;
     unavailability_total_ += sim_.now() - opened;
   }
   unavail_open_.clear();
-  result.unavailability_windows = unavailability_windows_;
-  result.unavailability_total_s = to_seconds(unavailability_total_);
-
-  // Network-fault and repair-ledger accounting. Exposure windows still open
-  // at run end close at the makespan, mirroring the unavailability rule.
   // dare-lint: allow(unordered-iteration) -- commutative summation; the
   // result is independent of iteration order.
   for (const auto& [block, opened] : one_replica_open_) {
-    ++one_replica_windows_;
+    ++result_.one_replica_windows;
     one_replica_total_ += sim_.now() - opened;
   }
   one_replica_open_.clear();
-  result.partition_episodes = partition_episodes_;
-  result.partitions_healed = partitions_healed_;
-  result.link_degrade_episodes = link_degrade_episodes_;
-  result.unreachable_reads = unreachable_reads_;
-  result.repairs_enqueued = repairs_enqueued_;
-  result.repairs_landed = repairs_landed_;
-  result.repairs_abandoned = repairs_abandoned_;
-  result.repair_retries = repair_retries_;
-  result.repair_timeouts = repair_timeouts_;
-  result.repair_preemptions = repair_preemptions_;
-  result.one_replica_windows = one_replica_windows_;
-  result.one_replica_total_s = to_seconds(one_replica_total_);
+  result_.detection_latency_total_s = to_seconds(detection_latency_total_);
+  result_.repair_latency_total_s = to_seconds(repair_latency_total_);
+  result_.unavailability_total_s = to_seconds(unavailability_total_);
+  result_.one_replica_total_s = to_seconds(one_replica_total_);
+  result_.clone_wasted_work_s = to_seconds(clone_wasted_work_);
 
   // Popularity indices (Fig. 11). Block popularity = number of jobs that
   // accessed its file in this workload (snapshot taken at load time).
   // "Before" uses the static placement; "after" reflects the final
   // placement on live nodes.
-  result.cv_before = coefficient_of_variation(cv_before_samples_);
-  result.cv_after = coefficient_of_variation(live_node_popularity());
+  result_.cv_before = coefficient_of_variation(cv_before_samples_);
+  result_.cv_after = coefficient_of_variation(live_node_popularity());
 
-  result.makespan = sim_.now();
-  metrics::finalize(result, map_time_stats_);
-  return result;
+  result_.makespan = sim_.now();
+  metrics::finalize(result_, map_time_stats_);
+  // The move takes the job vector; the scalar fields keep their values, so
+  // validate() still balances the repair ledger after the run.
+  return std::move(result_);
 }
 
 namespace {
@@ -2586,7 +2546,7 @@ metrics::RunResult Cluster::run_with(
   ran_ = true;
   total_jobs_ = total_jobs;
   arrivals_ = std::move(stream);
-  job_metrics_.reserve(total_jobs_);
+  result_.jobs.reserve(total_jobs_);
 
   load_files(catalog, catalog_spec, access_counts);
   // Exposure tracking arms only now: the load itself registers replicas one

@@ -3,8 +3,10 @@
 // replication policies into a runnable experiment.
 //
 // One Cluster instance runs one workload once, single-threaded and
-// deterministic for a given seed. Parameter sweeps construct many Cluster
-// instances and run them on a thread pool (see experiment.h).
+// deterministic for a given seed, and returns a metrics::RunResult that it
+// counts into as the run goes. Each result field's name and digest rule is
+// declared once, in the run-metric table (metrics/run_metrics.cpp).
+// Parameter sweeps construct many Cluster instances (experiment.h, farm.h).
 #pragma once
 
 #include <cstdint>
@@ -281,6 +283,7 @@ class Cluster {
     return it == file_popularity_.end() ? 0.0 : it->second;
   }
 
+  /// Finish result_ with what is only known at run end and hand it out.
   metrics::RunResult collect_results();
 
   ClusterOptions options_;
@@ -313,6 +316,8 @@ class Cluster {
   /// the heartbeat-detection latency. A transient blip shorter than the
   /// detection timeout never flips `declared_dead_` at all.
   std::vector<bool> dead_;
+  /// Workers with !dead_, kept where dead_ flips (fail_node, recover_node).
+  std::size_t live_workers_ = 0;
   std::vector<bool> declared_dead_;
   std::vector<SimTime> death_time_;
   std::vector<faults::FaultKind> death_kind_;
@@ -330,16 +335,10 @@ class Cluster {
   /// see cluster/repair_scheduler.h). Replaced the PR 5 FIFO deque.
   RepairScheduler repairs_;
   bool repair_tick_scheduled_ = false;
-  /// Repair ledger + retry accounting. Every first-time enqueue terminally
-  /// lands or is abandoned; validate() checks
+  /// Repair transfers in flight. Every first-time enqueue terminally lands
+  /// or is abandoned; validate() checks result_'s ledger
   /// enqueued == landed + abandoned + queued + in-flight at all times.
-  std::uint64_t repairs_enqueued_ = 0;
-  std::uint64_t repairs_landed_ = 0;
-  std::uint64_t repairs_abandoned_ = 0;
   std::uint64_t repairs_inflight_ = 0;
-  std::uint64_t repair_retries_ = 0;
-  std::uint64_t repair_timeouts_ = 0;
-  std::uint64_t repair_preemptions_ = 0;
   /// Concurrent repair transfers crossing each rack's uplink (bandwidth-
   /// aware admission; bounded by options_.max_repairs_per_uplink).
   std::vector<std::size_t> repair_uplink_inflight_;
@@ -351,36 +350,21 @@ class Cluster {
   bool verify_reads_ = false;
   bool track_unavailability_ = false;
   sim::EventHandle latent_event_;
-  std::uint64_t corrupt_reads_ = 0;
-  std::uint64_t corrupt_replicas_injected_ = 0;
-  std::uint64_t replicas_quarantined_ = 0;
-  std::uint64_t data_loss_events_ = 0;
   std::unordered_set<BlockId> data_loss_blocks_;
   /// Queue-to-landing repair latency (each entry carries its first-enqueue
   /// time through retries; see RepairScheduler::Entry::enqueued).
   SimDuration repair_latency_total_ = 0;
   std::unordered_map<BlockId, SimTime> unavail_open_;
-  std::uint64_t unavailability_windows_ = 0;
   SimDuration unavailability_total_ = 0;
   /// One-replica exposure windows (tail risk: the next loss is data loss).
   /// Armed only after the initial catalog placement so the 0->1->2 build-up
   /// of load_files never counts as exposure.
   std::unordered_map<BlockId, SimTime> one_replica_open_;
-  std::uint64_t one_replica_windows_ = 0;
   SimDuration one_replica_total_ = 0;
   bool exposure_armed_ = false;
-  std::uint64_t task_reexecutions_ = 0;
-  std::uint64_t rereplicated_blocks_ = 0;
-  std::uint64_t node_failures_ = 0;
-  std::uint64_t transient_failures_ = 0;
-  std::uint64_t permanent_failures_ = 0;
-  std::uint64_t failures_detected_ = 0;
+  /// Physical-death-to-declaration latency. Like every SimDuration total
+  /// here, summed in integer time and converted to seconds once, at run end.
   SimDuration detection_latency_total_ = 0;
-  std::uint64_t node_rejoins_ = 0;
-  std::uint64_t overreplication_prunes_ = 0;
-  std::uint64_t task_attempt_failures_ = 0;
-  std::uint64_t failed_jobs_ = 0;
-  std::uint64_t blacklisted_total_ = 0;
   /// Failed (not killed) attempts per map task / per job's reduces — the
   /// Hadoop retry budget (mapreduce.map.maxattempts).
   std::unordered_map<std::uint64_t, std::size_t> map_attempt_failures_;
@@ -398,9 +382,6 @@ class Cluster {
   /// Pending onset *or* recovery event of each node's degrade chain (one in
   /// flight per node); cancelled wholesale once the run finishes.
   std::vector<sim::EventHandle> degrade_event_;
-  std::uint64_t degraded_onsets_ = 0;
-  std::uint64_t degraded_recoveries_ = 0;
-  std::uint64_t tail_inflations_ = 0;
 
   /// Network-fault subsystem. `netfault_active_` gates every reaction path
   /// (reachability filters, heartbeat loss, the declare-partitioned
@@ -418,10 +399,6 @@ class Cluster {
   /// (one in flight per rack per chain); cancelled once the run finishes.
   std::vector<sim::EventHandle> partition_event_;
   std::vector<sim::EventHandle> link_event_;
-  std::uint64_t partition_episodes_ = 0;
-  std::uint64_t partitions_healed_ = 0;
-  std::uint64_t link_degrade_episodes_ = 0;
-  std::uint64_t unreachable_reads_ = 0;
 
   /// Straggler-detection state (see note_attempt_progress /
   /// straggler_decision).
@@ -430,16 +407,11 @@ class Cluster {
   std::vector<bool> detected_slow_;
   std::vector<SimTime> slow_until_;
   std::vector<std::size_t> slow_strikes_;
-  std::uint64_t stragglers_detected_ = 0;
-  std::uint64_t straggler_readmissions_ = 0;
 
   /// Cloning state. The budget caps how many clone attempts run at once
   /// cluster-wide; per-job counts live in JobRuntime::running_clones.
   std::size_t clone_budget_slots_ = 0;
   std::size_t running_clones_ = 0;
-  std::uint64_t clones_launched_ = 0;
-  std::uint64_t clone_wins_ = 0;
-  std::uint64_t clones_killed_ = 0;
   SimDuration clone_wasted_work_ = 0;
 
   /// Speculative-execution state: one entry per map task with >= 1 running
@@ -501,9 +473,6 @@ class Cluster {
           std::pair<const JobId, std::pair<double, std::size_t>>>>
       job_map_stats_;
   std::pair<double, std::size_t> global_map_stats_{0.0, 0};
-  std::uint64_t speculative_launched_ = 0;
-  std::uint64_t speculative_wins_ = 0;
-  std::uint64_t speculative_killed_ = 0;
 
   /// Map-task durations, accumulated in launch order (Welford). An
   /// accumulator instead of one double per task: O(1) memory at any scale,
@@ -525,16 +494,19 @@ class Cluster {
   Bytes scarlett_budget_total_ = 0;
   Bytes scarlett_bytes_spent_ = 0;
   std::unordered_map<FileId, int> scarlett_extra_replicas_;
-  std::uint64_t scarlett_bytes_moved_ = 0;
 
   /// Pull-based arrival state: the open job stream (null until run_with
   /// starts, and again once exhausted) and the total number of jobs it will
   /// deliver (the run-completion denominator).
   std::unique_ptr<workload::JobStream> arrivals_;
   std::size_t total_jobs_ = 0;
-  /// Per-job results, filled by on_job_retired at each job's arrival_seq —
-  /// the only copy of a job's metrics once its runtime is released.
-  std::vector<metrics::JobMetrics> job_metrics_;
+
+  /// The run's metrics, counted in place: event handlers bump its fields
+  /// directly (++result_.corrupt_reads), and on_job_retired fills
+  /// result_.jobs at each job's arrival_seq — the only copy of a job's
+  /// metrics once its runtime is released. collect_results adds what is
+  /// only known at run end and hands it out.
+  metrics::RunResult result_;
 };
 
 }  // namespace dare::cluster

@@ -8,6 +8,7 @@
 #include <set>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "common/csv.h"
 #include "common/thread_annotations.h"
@@ -133,6 +134,36 @@ struct JournalState {
   }
 };
 
+/// Formats one run-metric field by its kind: counts with std::to_string,
+/// doubles with format_double, times as seconds with format_double.
+struct CellFormatter {
+  const metrics::RunResult& r;
+  std::string operator()(std::uint64_t metrics::RunResult::*m) const {
+    return std::to_string(r.*m);
+  }
+  std::string operator()(double metrics::RunResult::*m) const {
+    return format_double(r.*m);
+  }
+  std::string operator()(SimTime metrics::RunResult::*m) const {
+    return format_double(to_seconds(r.*m));
+  }
+};
+
+/// The cell of farm column `column`: the run-metric table field of that
+/// name, except that a time field's column carries an "_s" suffix
+/// (`makespan_s` is `makespan`, in seconds).
+std::string metric_cell(const metrics::RunResult& r,
+                        const std::string& column) {
+  for (const auto& field : metrics::metric_fields()) {
+    const bool time =
+        std::holds_alternative<SimTime metrics::RunResult::*>(field.member);
+    if (column == (time ? std::string(field.name) + "_s" : field.name)) {
+      return std::visit(CellFormatter{r}, field.member);
+    }
+  }
+  throw std::logic_error("farm: column names no run metric: " + column);
+}
+
 }  // namespace
 
 const std::vector<std::string>& farm_columns() {
@@ -207,35 +238,9 @@ metrics::RunResult run_farm_item(const Config& item) {
 
 FarmRow make_farm_row(const metrics::RunResult& r) {
   FarmRow row;
-  row.values = {
-      format_double(r.locality),
-      format_double(r.rack_locality),
-      format_double(r.gmtt_s),
-      std::to_string(r.gmtt_skipped_jobs),
-      format_double(r.mean_slowdown),
-      format_double(r.mean_map_time_s),
-      format_double(to_seconds(r.makespan)),
-      std::to_string(r.dynamic_replicas_created),
-      std::to_string(r.dynamic_replica_disk_writes),
-      format_double(r.blocks_created_per_job),
-      std::to_string(r.node_failures),
-      std::to_string(r.failures_detected),
-      std::to_string(r.task_reexecutions),
-      std::to_string(r.rereplicated_blocks),
-      std::to_string(r.blocks_lost),
-      std::to_string(r.failed_jobs),
-      std::to_string(r.corrupt_reads),
-      std::to_string(r.replicas_quarantined),
-      std::to_string(r.data_loss_events),
-      std::to_string(r.unavailability_windows),
-      std::to_string(r.stragglers_detected),
-      std::to_string(r.speculative_launched),
-      std::to_string(r.speculative_wins),
-      std::to_string(r.clones_launched),
-      std::to_string(r.clone_wins),
-      format_double(r.cv_before),
-      format_double(r.cv_after),
-  };
+  for (const auto& column : farm_columns()) {
+    row.values.push_back(metric_cell(r, column));
+  }
   return row;
 }
 

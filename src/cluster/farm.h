@@ -30,10 +30,12 @@
 
 namespace dare::cluster {
 
-/// Column schema of a farm result row: a fixed, ordered subset of
-/// RunResult's scalar fields. Doubles are rendered with format_double
-/// (shortest round-trip form), counters with std::to_string, so a value
-/// parsed back from a journal is bit-identical to the freshly computed one.
+/// Column schema of a farm result row: a fixed, ordered subset of the
+/// run-metric table (metrics::metric_fields), by field name; a time field's
+/// column is its name plus "_s" and holds seconds. Doubles are rendered
+/// with format_double (shortest round-trip form), counters with
+/// std::to_string, so a value parsed back from a journal is bit-identical
+/// to the freshly computed one.
 const std::vector<std::string>& farm_columns();
 
 /// Item keys run_farm_item() recognizes beyond cluster::override_keys():

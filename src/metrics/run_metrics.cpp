@@ -1,6 +1,7 @@
 #include "metrics/run_metrics.h"
 
 #include <bit>
+#include <iterator>
 #include <stdexcept>
 
 #include "common/stats.h"
@@ -77,6 +78,97 @@ double popularity_index(const std::vector<Bytes>& block_sizes,
 
 namespace {
 
+constexpr auto kAlways = MetricField::Digest::kAlways;
+constexpr auto kWhenNonzero = MetricField::Digest::kWhenNonzero;
+
+/// The run-metric table: every scalar RunResult field, in digest order.
+/// Adding a metric is one RunResult field plus one row here; the digest and
+/// the farm row both read it from this table.
+///
+/// kWhenNonzero keeps committed digests valid: a field added after
+/// baselines were recorded (BENCH_PR3.json, BENCH_PR8.json, the perfbench
+/// workloads) is mixed only when nonzero, so quiet runs that never touch it
+/// keep their recorded fingerprint while any run that does is
+/// distinguishable. A new field takes kWhenNonzero (its position does not
+/// matter while it is zero); changing an existing row's rule or position
+/// invalidates recorded digests.
+constexpr MetricField kFields[] = {
+    {"locality", &RunResult::locality, kAlways},
+    {"rack_locality", &RunResult::rack_locality, kAlways},
+    {"gmtt_s", &RunResult::gmtt_s, kAlways},
+    {"gmtt_skipped_jobs", &RunResult::gmtt_skipped_jobs, kWhenNonzero},
+    {"mean_slowdown", &RunResult::mean_slowdown, kAlways},
+    {"mean_map_time_s", &RunResult::mean_map_time_s, kAlways},
+    {"dynamic_replicas_created", &RunResult::dynamic_replicas_created, kAlways},
+    {"dynamic_replica_disk_writes", &RunResult::dynamic_replica_disk_writes,
+     kAlways},
+    {"blocks_created_per_job", &RunResult::blocks_created_per_job, kAlways},
+    {"proactive_replication_bytes", &RunResult::proactive_replication_bytes,
+     kAlways},
+    {"task_reexecutions", &RunResult::task_reexecutions, kAlways},
+    {"rereplicated_blocks", &RunResult::rereplicated_blocks, kAlways},
+    {"blocks_lost", &RunResult::blocks_lost, kAlways},
+    {"node_failures", &RunResult::node_failures, kAlways},
+    {"transient_failures", &RunResult::transient_failures, kAlways},
+    {"permanent_failures", &RunResult::permanent_failures, kAlways},
+    {"failures_detected", &RunResult::failures_detected, kAlways},
+    {"detection_latency_total_s", &RunResult::detection_latency_total_s,
+     kAlways},
+    {"mean_detection_latency_s", &RunResult::mean_detection_latency_s, kAlways},
+    {"node_rejoins", &RunResult::node_rejoins, kAlways},
+    {"overreplication_prunes", &RunResult::overreplication_prunes, kAlways},
+    {"task_attempt_failures", &RunResult::task_attempt_failures, kAlways},
+    {"failed_jobs", &RunResult::failed_jobs, kAlways},
+    {"blacklisted_nodes", &RunResult::blacklisted_nodes, kAlways},
+    {"corrupt_reads", &RunResult::corrupt_reads, kWhenNonzero},
+    {"corrupt_replicas", &RunResult::corrupt_replicas, kWhenNonzero},
+    {"replicas_quarantined", &RunResult::replicas_quarantined, kWhenNonzero},
+    {"data_loss_events", &RunResult::data_loss_events, kWhenNonzero},
+    {"repair_latency_total_s", &RunResult::repair_latency_total_s,
+     kWhenNonzero},
+    {"mean_repair_latency_s", &RunResult::mean_repair_latency_s, kWhenNonzero},
+    {"unavailability_windows", &RunResult::unavailability_windows,
+     kWhenNonzero},
+    {"unavailability_total_s", &RunResult::unavailability_total_s,
+     kWhenNonzero},
+    {"speculative_launched", &RunResult::speculative_launched, kAlways},
+    {"speculative_wins", &RunResult::speculative_wins, kAlways},
+    {"speculative_killed", &RunResult::speculative_killed, kAlways},
+    {"degraded_onsets", &RunResult::degraded_onsets, kWhenNonzero},
+    {"degraded_recoveries", &RunResult::degraded_recoveries, kWhenNonzero},
+    {"tail_inflations", &RunResult::tail_inflations, kWhenNonzero},
+    {"stragglers_detected", &RunResult::stragglers_detected, kWhenNonzero},
+    {"straggler_readmissions", &RunResult::straggler_readmissions,
+     kWhenNonzero},
+    {"clones_launched", &RunResult::clones_launched, kWhenNonzero},
+    {"clone_wins", &RunResult::clone_wins, kWhenNonzero},
+    {"clones_killed", &RunResult::clones_killed, kWhenNonzero},
+    {"clone_wasted_work_s", &RunResult::clone_wasted_work_s, kWhenNonzero},
+    {"partition_episodes", &RunResult::partition_episodes, kWhenNonzero},
+    {"partitions_healed", &RunResult::partitions_healed, kWhenNonzero},
+    {"link_degrade_episodes", &RunResult::link_degrade_episodes, kWhenNonzero},
+    {"unreachable_reads", &RunResult::unreachable_reads, kWhenNonzero},
+    {"repairs_enqueued", &RunResult::repairs_enqueued, kWhenNonzero},
+    {"repairs_landed", &RunResult::repairs_landed, kWhenNonzero},
+    {"repairs_abandoned", &RunResult::repairs_abandoned, kWhenNonzero},
+    {"repair_retries", &RunResult::repair_retries, kWhenNonzero},
+    {"repair_timeouts", &RunResult::repair_timeouts, kWhenNonzero},
+    {"repair_preemptions", &RunResult::repair_preemptions, kWhenNonzero},
+    {"one_replica_windows", &RunResult::one_replica_windows, kWhenNonzero},
+    {"one_replica_total_s", &RunResult::one_replica_total_s, kWhenNonzero},
+    {"cv_before", &RunResult::cv_before, kAlways},
+    {"cv_after", &RunResult::cv_after, kAlways},
+    {"makespan", &RunResult::makespan, kAlways},
+};
+
+// Every scalar RunResult field is 8 bytes wide, so a field declared without
+// a row above changes sizeof(RunResult) and fails here.
+static_assert(sizeof(double) == 8 && sizeof(SimTime) == 8);
+static_assert(sizeof(RunResult) ==
+                  sizeof(std::vector<JobMetrics>) +
+                      std::size(kFields) * sizeof(std::uint64_t),
+              "every scalar RunResult field needs a row in kFields");
+
 /// FNV-1a over explicit 64-bit words: field widths are pinned here (rather
 /// than hashing struct bytes) so padding and layout changes never alter the
 /// digest semantics.
@@ -88,10 +180,8 @@ class Digest {
       hash_ *= 0x100000001B3ULL;
     }
   }
+  void mix(std::int64_t value) { mix(static_cast<std::uint64_t>(value)); }
   void mix(double value) { mix(std::bit_cast<std::uint64_t>(value)); }
-  void mix_i(std::int64_t value) {
-    mix(static_cast<std::uint64_t>(value));
-  }
   std::uint64_t value() const { return hash_; }
 
  private:
@@ -100,97 +190,30 @@ class Digest {
 
 }  // namespace
 
+std::span<const MetricField> metric_fields() { return kFields; }
+
 std::uint64_t fingerprint(const RunResult& result) {
   Digest d;
   d.mix(static_cast<std::uint64_t>(result.jobs.size()));
   for (const auto& job : result.jobs) {
-    d.mix_i(job.id);
-    d.mix_i(job.arrival);
-    d.mix_i(job.completion);
+    d.mix(job.id);
+    d.mix(job.arrival);
+    d.mix(job.completion);
     d.mix(static_cast<std::uint64_t>(job.maps));
     d.mix(static_cast<std::uint64_t>(job.local_maps));
     d.mix(static_cast<std::uint64_t>(job.rack_local_maps));
     d.mix(job.dedicated_runtime_s);
     d.mix(static_cast<std::uint64_t>(job.failed ? 1 : 0));
   }
-  d.mix(result.locality);
-  d.mix(result.rack_locality);
-  d.mix(result.gmtt_s);
-  // Mixed only when nonzero: digests recorded before this field existed
-  // (BENCH_PR3.json) stay valid for runs where no turnaround is skipped,
-  // while any run that does skip jobs is distinguishable.
-  if (result.gmtt_skipped_jobs != 0) d.mix(result.gmtt_skipped_jobs);
-  d.mix(result.mean_slowdown);
-  d.mix(result.mean_map_time_s);
-  d.mix(result.dynamic_replicas_created);
-  d.mix(result.dynamic_replica_disk_writes);
-  d.mix(result.blocks_created_per_job);
-  d.mix(result.proactive_replication_bytes);
-  d.mix(result.task_reexecutions);
-  d.mix(result.rereplicated_blocks);
-  d.mix(result.blocks_lost);
-  d.mix(result.node_failures);
-  d.mix(result.transient_failures);
-  d.mix(result.permanent_failures);
-  d.mix(result.failures_detected);
-  d.mix(result.detection_latency_total_s);
-  d.mix(result.mean_detection_latency_s);
-  d.mix(result.node_rejoins);
-  d.mix(result.overreplication_prunes);
-  d.mix(result.task_attempt_failures);
-  d.mix(result.failed_jobs);
-  d.mix(result.blacklisted_nodes);
-  // Data-integrity fields follow the gmtt_skipped_jobs convention: mixed
-  // only when nonzero so the no-corruption digests committed in
-  // BENCH_PR3.json stay valid, while any corrupted run is distinguishable.
-  if (result.corrupt_reads != 0) d.mix(result.corrupt_reads);
-  if (result.corrupt_replicas != 0) d.mix(result.corrupt_replicas);
-  if (result.replicas_quarantined != 0) d.mix(result.replicas_quarantined);
-  if (result.data_loss_events != 0) d.mix(result.data_loss_events);
-  if (result.repair_latency_total_s != 0.0) {
-    d.mix(result.repair_latency_total_s);
+  for (const auto& field : kFields) {
+    std::visit(
+        [&](auto member) {
+          const auto value = result.*member;
+          if (field.digest == kWhenNonzero && value == 0) return;
+          d.mix(value);
+        },
+        field.member);
   }
-  if (result.mean_repair_latency_s != 0.0) d.mix(result.mean_repair_latency_s);
-  if (result.unavailability_windows != 0) d.mix(result.unavailability_windows);
-  if (result.unavailability_total_s != 0.0) {
-    d.mix(result.unavailability_total_s);
-  }
-  d.mix(result.speculative_launched);
-  d.mix(result.speculative_wins);
-  d.mix(result.speculative_killed);
-  // Straggler and cloning fields follow the same only-when-nonzero rule:
-  // digests committed before this subsystem existed stay valid for runs
-  // that never degrade, detect, or clone.
-  if (result.degraded_onsets != 0) d.mix(result.degraded_onsets);
-  if (result.degraded_recoveries != 0) d.mix(result.degraded_recoveries);
-  if (result.tail_inflations != 0) d.mix(result.tail_inflations);
-  if (result.stragglers_detected != 0) d.mix(result.stragglers_detected);
-  if (result.straggler_readmissions != 0) {
-    d.mix(result.straggler_readmissions);
-  }
-  if (result.clones_launched != 0) d.mix(result.clones_launched);
-  if (result.clone_wins != 0) d.mix(result.clone_wins);
-  if (result.clones_killed != 0) d.mix(result.clones_killed);
-  if (result.clone_wasted_work_s != 0.0) d.mix(result.clone_wasted_work_s);
-  // Network-fault and repair-ledger fields, same only-when-nonzero rule:
-  // the quiet BENCH_PR3.json configurations never partition, never degrade
-  // a link, and never queue a repair, so their committed digests survive
-  // both the new subsystem and the repair-queue replacement.
-  if (result.partition_episodes != 0) d.mix(result.partition_episodes);
-  if (result.partitions_healed != 0) d.mix(result.partitions_healed);
-  if (result.link_degrade_episodes != 0) d.mix(result.link_degrade_episodes);
-  if (result.unreachable_reads != 0) d.mix(result.unreachable_reads);
-  if (result.repairs_enqueued != 0) d.mix(result.repairs_enqueued);
-  if (result.repairs_landed != 0) d.mix(result.repairs_landed);
-  if (result.repairs_abandoned != 0) d.mix(result.repairs_abandoned);
-  if (result.repair_retries != 0) d.mix(result.repair_retries);
-  if (result.repair_timeouts != 0) d.mix(result.repair_timeouts);
-  if (result.repair_preemptions != 0) d.mix(result.repair_preemptions);
-  if (result.one_replica_windows != 0) d.mix(result.one_replica_windows);
-  if (result.one_replica_total_s != 0.0) d.mix(result.one_replica_total_s);
-  d.mix(result.cv_before);
-  d.mix(result.cv_after);
-  d.mix_i(result.makespan);
   return d.value();
 }
 

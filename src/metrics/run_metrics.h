@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <variant>
 #include <vector>
 
 #include "common/stats.h"
@@ -188,11 +190,32 @@ void finalize(RunResult& result, const OnlineStats& map_time_stats);
 double popularity_index(const std::vector<Bytes>& block_sizes,
                         const std::vector<double>& block_popularity);
 
-/// Order-sensitive 64-bit digest (FNV-1a) of every field of a RunResult,
-/// including each per-job record and the exact bit patterns of all doubles.
-/// Two runs of the same seeded configuration must produce equal
-/// fingerprints — the repo's determinism guarantee (see
-/// tests/test_determinism.cpp, which runs each configuration twice).
+/// One scalar RunResult field, as declared in the run-metric table
+/// (run_metrics.cpp) — the only place a metric's name and digest rule are
+/// written. The member pointer's type is the field's kind: a count, a
+/// double, or a SimTime.
+struct MetricField {
+  enum class Digest {
+    kAlways,       ///< mixed into every digest
+    kWhenNonzero,  ///< mixed only when nonzero (zero contributes nothing)
+  };
+  using Member = std::variant<std::uint64_t RunResult::*, double RunResult::*,
+                              SimTime RunResult::*>;
+
+  const char* name = nullptr;
+  Member member;
+  Digest digest = Digest::kAlways;
+};
+
+/// Every scalar RunResult field, in digest order.
+std::span<const MetricField> metric_fields();
+
+/// Order-sensitive 64-bit digest (FNV-1a) of a RunResult: each per-job
+/// record, then every metric_fields() entry under its digest rule, with the
+/// exact bit patterns of all doubles. Two runs of the same seeded
+/// configuration must produce equal fingerprints — the repo's determinism
+/// guarantee (see tests/test_determinism.cpp, which runs each configuration
+/// twice).
 std::uint64_t fingerprint(const RunResult& result);
 
 }  // namespace dare::metrics

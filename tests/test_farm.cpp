@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cluster/experiment.h"
+#include "run_result_pattern.h"
 
 namespace dare::cluster {
 namespace {
@@ -110,6 +111,23 @@ TEST(FarmRowMetric, RoundTripsAndRejectsUnknownColumns) {
   EXPECT_EQ(fr.metric("locality"), result.locality);
   EXPECT_EQ(fr.metric("makespan_s"), to_seconds(result.makespan));
   EXPECT_THROW(fr.metric("no_such_column"), std::out_of_range);
+}
+
+TEST(FarmRow, CellsMatchRecordedRendering) {
+  // One fixed RunResult, rendered as recorded: counts as integers, doubles
+  // in shortest round-trip form, makespan in seconds.
+  const std::vector<std::string> recorded = {
+      "192214084086872.25",   "214651542487956.25",   "70883492012895.25",
+      "16961078081214114695", "225272053343664.25",   "123319278474199.25",
+      "316329.640875",        "17607919606364544389", "3803699646120526684",
+      "38338355679401.25",    "7402939282923413757",  "18173249050952618845",
+      "16721329332142396203", "3043448840220612828",  "18207801856027427778",
+      "9950767167895201361",  "2147201545771130296",  "11721196221998064715",
+      "16591132477669169503", "5668735737209392155",  "4342530714062270072",
+      "8293736253533477231",  "14001704964719323350", "2408110376284969278",
+      "10618781361927700308", "262672048242883.25",   "61188858438858.25"};
+  EXPECT_EQ(make_farm_row(metrics::testing::patterned_result()).values,
+            recorded);
 }
 
 TEST(Journal, LineRoundTripsIncludingEscapes) {

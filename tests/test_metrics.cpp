@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <variant>
+
+#include "run_result_pattern.h"
+
 namespace dare::metrics {
 namespace {
 
@@ -62,21 +67,52 @@ TEST(Finalize, CountsJobsSkippedFromGmtt) {
   EXPECT_EQ(clean.gmtt_skipped_jobs, 0u);
 }
 
-TEST(Fingerprint, SkippedJobsChangeDigestOnlyWhenPresent) {
-  // Digest-compatibility contract: runs with no skipped jobs keep the
-  // digest they had before the field existed (the committed BENCH_PR3.json
-  // baselines), while a nonzero skip count must be visible in the digest.
-  RunResult a;
-  a.jobs.push_back(job(1, 0.0, 10.0, 1, 1, 5.0));
-  finalize(a, {1.0});
-  ASSERT_EQ(a.gmtt_skipped_jobs, 0u);
-  const auto base = fingerprint(a);
+TEST(Fingerprint, EveryTableFieldFollowsItsDigestRule) {
+  // Digest-compatibility contract, for every row of the run-metric table:
+  // any one field set nonzero must be visible in the digest, and an
+  // only-when-nonzero field back at zero must leave the digest of runs that
+  // never touch it (the committed baselines) exactly as it was.
+  RunResult base;
+  base.jobs.push_back(job(1, 0.0, 10.0, 1, 1, 5.0));
+  const auto base_digest = fingerprint(base);
+  const auto fields = metric_fields();
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    RunResult r = base;
+    testing::set_pattern(r, fields[i]);
+    EXPECT_NE(fingerprint(r), base_digest) << fields[i].name;
+    if (fields[i].digest != MetricField::Digest::kWhenNonzero) continue;
+    std::visit([&r](auto member) { r.*member = {}; }, fields[i].member);
+    EXPECT_EQ(fingerprint(r), base_digest) << fields[i].name;
+  }
+}
 
-  RunResult b = a;
-  b.gmtt_skipped_jobs = 2;  // forced: same metrics, nonzero skip count
-  EXPECT_NE(fingerprint(b), base);
-  b.gmtt_skipped_jobs = 0;
-  EXPECT_EQ(fingerprint(b), base);
+TEST(Fingerprint, TableMatchesRecordedDigests) {
+  // Recorded values. The empty result pins how many fields are always
+  // mixed; the patterned one pins every field's position and kind; zeroing
+  // each field of it in turn pins each field's digest rule at its position.
+  // A new kWhenNonzero row leaves `empty` as it is and moves the other two,
+  // which are then re-recorded; any other change invalidates committed
+  // digests.
+  EXPECT_EQ(fingerprint(RunResult{}), 0xe7f6c4b09523c5e5ULL);
+  EXPECT_EQ(fingerprint(testing::patterned_result()), 0x7e0825f36af8dc8eULL);
+  std::uint64_t zeroed_each = 0;
+  for (std::size_t i = 0; i < metric_fields().size(); ++i) {
+    zeroed_each = (zeroed_each * 0x100000001B3ULL) ^
+                  fingerprint(testing::patterned_result(i));
+  }
+  EXPECT_EQ(zeroed_each, 0x4be415b5de060e21ULL);
+}
+
+TEST(Fingerprint, TableRowsNameDistinctFields) {
+  // The sizeof check in run_metrics.cpp counts rows, so a row copied onto
+  // an existing field would hide a field that has none.
+  const auto fields = metric_fields();
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    for (std::size_t j = i + 1; j < fields.size(); ++j) {
+      EXPECT_NE(std::string_view(fields[i].name), fields[j].name);
+      EXPECT_NE(fields[i].member, fields[j].member) << fields[i].name;
+    }
+  }
 }
 
 TEST(Finalize, EmptyRunIsSafe) {
