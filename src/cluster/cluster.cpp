@@ -122,10 +122,7 @@ Cluster::Cluster(const ClusterOptions& options)
     node_rack_[i] = topology_->rack_of(static_cast<NodeId>(i));
   }
   const std::size_t racks = topology_->rack_count();
-  rack_partitioned_.assign(racks, false);
   rack_partition_start_.assign(racks, 0);
-  partition_event_.resize(racks);
-  link_event_.resize(racks);
   repair_uplink_inflight_.assign(racks, 0);
   for (const auto& ev : options_.partition_events) {
     if (ev.rack < 0 || static_cast<std::size_t>(ev.rack) >= racks) {
@@ -180,8 +177,6 @@ Cluster::Cluster(const ClusterOptions& options)
       factor = options_.profile.straggler_slowdown;
     }
   }
-  degraded_.assign(workers, false);
-  degrade_event_.resize(workers);
   progress_ewma_.assign(workers, 0.0);
   progress_samples_.assign(workers, 0);
   detected_slow_.assign(workers, false);
@@ -247,6 +242,7 @@ Cluster::Cluster(const ClusterOptions& options)
     network_->set_degradation_factors(options_.netfault.bandwidth_cut,
                                       options_.netfault.latency_inflation);
   }
+  build_episode_chains();
   verify_reads_ =
       corruption_ != nullptr || !options_.corruption_events.empty();
 
@@ -615,15 +611,7 @@ Cluster::ReadPlan Cluster::plan_read(NodeId worker, BlockId block, Bytes bytes,
   ReadPlan plan;
   plan.src = worker;
   if (node_local) {
-    SimDuration local_disk = data_nodes_[w]->read_duration(bytes);
-    // Degraded-mode disk penalty: a limping holder serves reads slower.
-    // `degraded_` is all-false unless the straggler process is enabled, so
-    // the integer path is untouched in disabled runs.
-    if (degraded_[w]) {
-      local_disk = static_cast<SimDuration>(
-          static_cast<double>(local_disk) * options_.stragglers.disk_slowdown);
-    }
-    plan.duration += local_disk;
+    plan.duration += holder_read(w, bytes);
     if (!verify_reads_ || !checksum_fails(worker, block, bytes)) return plan;
     // The local copy failed its checksum: report it (quarantining the
     // replica) and re-read from another holder. The wasted local read stays
@@ -651,12 +639,7 @@ Cluster::ReadPlan Cluster::plan_read(NodeId worker, BlockId block, Bytes bytes,
       return plan;
     }
     // A remote read is bounded by both source disk and network path.
-    SimDuration disk =
-        data_nodes_[static_cast<std::size_t>(src)]->read_duration(bytes);
-    if (degraded_[static_cast<std::size_t>(src)]) {
-      disk = static_cast<SimDuration>(static_cast<double>(disk) *
-                                      options_.stragglers.disk_slowdown);
-    }
+    const SimDuration disk = holder_read(static_cast<std::size_t>(src), bytes);
     const SimDuration net = network_->transfer_duration(src, worker, bytes);
     plan.duration += std::max(disk, net);
     if (verify_reads_ && checksum_fails(src, block, bytes)) {
@@ -797,7 +780,7 @@ SimDuration Cluster::straggler_compute(NodeId worker, SimDuration compute) {
   if (straggler_process_ == nullptr) return compute;
   const auto w = static_cast<std::size_t>(worker);
   double scaled = static_cast<double>(compute);
-  if (degraded_[w]) scaled *= options_.stragglers.compute_slowdown;
+  if (degrade_chain_->active(w)) scaled *= options_.stragglers.compute_slowdown;
   // One inflation draw per launch regardless of node state or outcome: the
   // straggler stream position never depends on which node runs the task.
   const double factor = straggler_process_->sample_task_inflation();
@@ -1383,7 +1366,7 @@ void Cluster::recover_node(NodeId worker, std::uint64_t epoch) {
   ++fault_epoch_[w];
   if (declared_dead_[w] && node_partitioned(w)) {
     // The node rebooted behind a still-partitioned uplink: the master
-    // cannot see it, so reconciliation waits for the heal (end_partition
+    // cannot see it, so reconciliation waits for the heal (which
     // finds the node declared and re-registers it then). Only the local
     // heartbeat chain restarts — its beats are lost at the boundary.
     heartbeat(w);
@@ -1490,153 +1473,104 @@ void Cluster::schedule_stochastic_failure(NodeId worker, std::uint64_t epoch) {
       });
 }
 
-void Cluster::schedule_degrade_onset(NodeId worker) {
-  const auto w = static_cast<std::size_t>(worker);
-  degrade_event_[w] =
-      sim_.after(straggler_process_->sample_degrade_uptime(), [this, worker] {
-        if (run_finished()) return;
-        // Fixed draws per onset regardless of node state, so the straggler
-        // stream position never depends on who is currently dead or
-        // degraded.
+void Cluster::build_episode_chains() {
+  using Hooks = faults::EpisodeChain::Hooks;
+  // Degraded nodes. A correlated onset (overloaded switch, hot aisle)
+  // co-degrades the victim's idle rack peers, superseding their onsets; the
+  // start effects live here because the trace records the onset's coin.
+  degrade_chain_.emplace(sim_, data_nodes_.size(), Hooks{
+      .running = [this] { return !run_finished(); },
+      .uptime = [this] { return straggler_process_->sample_degrade_uptime(); },
+      .onset = [this](std::size_t w) {
         const auto sample = straggler_process_->sample_degrade();
-        begin_degrade(worker, sample.duration, sample.rack_correlated);
-        if (sample.rack_correlated && topology_->rack_count() > 1) {
-          // The shared cause (overloaded switch, hot aisle) co-degrades the
-          // whole rack and supersedes each peer's own pending onset.
-          for (std::size_t v = 0; v < data_nodes_.size(); ++v) {
-            const auto peer = static_cast<NodeId>(v);
-            if (peer == worker || degraded_[v]) continue;
-            if (!topology_->same_rack(worker, peer)) continue;
-            degrade_event_[v].cancel();
-            begin_degrade(peer, sample.duration, true);
-          }
+        const auto limp = [&](std::size_t v) {
+          if (!degrade_chain_->begin(v, sample.duration)) return;
+          ++result_.degraded_onsets;
+          if (tracer_ == nullptr) return;
+          tracer_->node_degraded(static_cast<NodeId>(v), sample.rack_correlated,
+                                 options_.stragglers.compute_slowdown);
+        };
+        limp(w);
+        if (!sample.rack_correlated || topology_->rack_count() < 2) return;
+        for (std::size_t v = 0; v < data_nodes_.size(); ++v) {
+          if (node_rack_[v] == node_rack_[w]) limp(v);  // w itself absorbs
         }
-      });
-}
+      },
+      .ended = [this](std::size_t w) {
+        ++result_.degraded_recoveries;
+        if (tracer_ != nullptr) {
+          tracer_->node_degrade_ended(static_cast<NodeId>(w));
+        }
+      }});
 
-void Cluster::begin_degrade(NodeId worker, SimDuration duration,
-                            bool rack_correlated) {
-  const auto w = static_cast<std::size_t>(worker);
-  if (degraded_[w]) return;
-  degraded_[w] = true;
-  ++result_.degraded_onsets;
-  if (tracer_ != nullptr) {
-    tracer_->node_degraded(worker, rack_correlated,
-                           options_.stragglers.compute_slowdown);
-  }
-  degrade_event_[w] =
-      sim_.after(duration, [this, worker] { end_degrade(worker); });
-}
+  // Rack partitions, the one layer with scripted episodes too, so its start
+  // effects are a hook. The rack keeps running, but its heartbeats are lost
+  // at the boundary and the detector declares it dead.
+  partition_chain_.emplace(sim_, topology_->rack_count(), Hooks{
+      .running = [this] { return !run_finished(); },
+      .uptime = [this] { return netfault_process_->sample_partition_uptime(); },
+      .onset = [this](std::size_t r) {
+        partition_chain_->begin(r,
+                                netfault_process_->sample_partition_duration());
+      },
+      .start = [this](std::size_t r, SimDuration duration) {
+        // The cluster always keeps a connected side with the master: an
+        // episode that would cut off the last connected rack is absorbed.
+        if (topology_->rack_count() - partition_chain_->active_count() <= 1) {
+          return false;
+        }
+        obs::PhaseScope prof(profiler_, obs::Phase::kChurn);
+        rack_partition_start_[r] = sim_.now();
+        network_->set_rack_partitioned(static_cast<RackId>(r), true);
+        ++result_.partition_episodes;
+        if (tracer_ != nullptr) {
+          tracer_->partition_started(static_cast<RackId>(r),
+                                     to_seconds(duration));
+        }
+        return true;
+      },
+      .ended = [this](std::size_t r) {
+        obs::PhaseScope prof(profiler_, obs::Phase::kChurn);
+        const auto rack = static_cast<RackId>(r);
+        network_->set_rack_partitioned(rack, false);
+        ++result_.partitions_healed;
+        if (tracer_ != nullptr) tracer_->partition_healed(rack);
+        // Dead nodes reconcile on their own recovery path. A declared
+        // survivor re-registers (pruning re-replicated surplus exactly once);
+        // an undeclared one lost only the tasks whose completions died at the
+        // boundary. A fresh stamp stops the detector (re-)declaring either.
+        for (std::size_t w = 0; w < data_nodes_.size(); ++w) {
+          if (node_rack_[w] != rack || dead_[w]) continue;
+          const auto node = static_cast<NodeId>(w);
+          if (declared_dead_[w]) {
+            reregister_node(node);
+          } else {
+            if (tracer_ != nullptr) {
+              tracer_->node_rejoined(node, /*full_reregistration=*/false);
+            }
+            cleanup_node_attempts(node);
+            slots_.restore_node(w);
+          }
+          name_node_->heartbeat_received(node, sim_.now());
+        }
+        try_assign_all();
+      }});
 
-void Cluster::end_degrade(NodeId worker) {
-  const auto w = static_cast<std::size_t>(worker);
-  degraded_[w] = false;
-  ++result_.degraded_recoveries;
-  if (tracer_ != nullptr) tracer_->node_degrade_ended(worker);
-  if (run_finished()) return;
-  schedule_degrade_onset(worker);  // the chain continues until the run ends
-}
-
-void Cluster::schedule_partition_onset(RackId rack) {
-  const auto r = static_cast<std::size_t>(rack);
-  partition_event_[r] =
-      sim_.after(netfault_process_->sample_partition_uptime(), [this, rack] {
-        if (run_finished()) return;
-        begin_partition(rack, netfault_process_->sample_partition_duration());
-      });
-}
-
-void Cluster::begin_partition(RackId rack, SimDuration duration) {
-  const auto r = static_cast<std::size_t>(rack);
-  // Already partitioned (a scripted event overlapping the stochastic chain):
-  // the existing episode's heal event stands, and the new onset is absorbed.
-  if (run_finished() || rack_partitioned_[r]) return;
-  // The cluster always keeps a connected side with the master: an onset
-  // that would cut off the last connected rack is absorbed (the chain
-  // continues, the episode just doesn't happen).
-  std::size_t connected = 0;
-  for (const bool partitioned : rack_partitioned_) {
-    if (!partitioned) ++connected;
-  }
-  if (connected <= 1) {
-    if (netfault_process_ != nullptr) schedule_partition_onset(rack);
-    return;
-  }
-  obs::PhaseScope prof(profiler_, obs::Phase::kChurn);
-  rack_partitioned_[r] = true;
-  rack_partition_start_[r] = sim_.now();
-  network_->set_rack_partitioned(rack, true);
-  ++result_.partition_episodes;
-  if (tracer_ != nullptr) {
-    tracer_->partition_started(rack, to_seconds(duration));
-  }
-  partition_event_[r] =
-      sim_.after(duration, [this, rack] { end_partition(rack); });
-}
-
-void Cluster::end_partition(RackId rack) {
-  const auto r = static_cast<std::size_t>(rack);
-  if (!rack_partitioned_[r]) return;
-  obs::PhaseScope prof(profiler_, obs::Phase::kChurn);
-  rack_partitioned_[r] = false;
-  network_->set_rack_partitioned(rack, false);
-  ++result_.partitions_healed;
-  if (tracer_ != nullptr) tracer_->partition_healed(rack);
-  for (std::size_t w = 0; w < data_nodes_.size(); ++w) {
-    if (node_rack_[w] != rack) continue;
-    // Physically dead nodes reconcile on their own recovery path (which
-    // defers to the heal only while the uplink is down — not any more).
-    if (dead_[w]) continue;
-    if (declared_dead_[w]) {
-      // The detector declared this node during the outage and the master
-      // re-replicated around it; rejoin prunes the surplus exactly once.
-      reregister_node(static_cast<NodeId>(w));
-    } else {
-      // Blip shorter than the detection timeout: the master never noticed.
-      // Tasks launched before the cut died with their lost completions —
-      // requeue them like a transient reboot.
-      if (tracer_ != nullptr) {
-        tracer_->node_rejoined(static_cast<NodeId>(w),
-                               /*full_reregistration=*/false);
-      }
-      cleanup_node_attempts(static_cast<NodeId>(w));
-      slots_.restore_node(w);
-    }
-    // Refresh the master's freshness stamp: the node was beating into the
-    // void the whole outage, and without this the detector would
-    // (re-)declare a healed, reachable node.
-    name_node_->heartbeat_received(static_cast<NodeId>(w), sim_.now());
-  }
-  try_assign_all();
-  if (run_finished()) return;
-  if (netfault_process_ != nullptr) schedule_partition_onset(rack);
-}
-
-void Cluster::schedule_link_onset(RackId rack) {
-  const auto r = static_cast<std::size_t>(rack);
-  link_event_[r] =
-      sim_.after(netfault_process_->sample_link_uptime(), [this, rack] {
-        if (run_finished()) return;
-        begin_link_degrade(rack, netfault_process_->sample_link_duration());
-      });
-}
-
-void Cluster::begin_link_degrade(RackId rack, SimDuration duration) {
-  const auto r = static_cast<std::size_t>(rack);
-  if (run_finished() || network_->uplink_degraded(rack)) return;
-  network_->set_uplink_degraded(rack, true);
-  ++result_.link_degrade_episodes;
-  if (tracer_ != nullptr) {
-    tracer_->link_degraded(rack, to_seconds(duration));
-  }
-  link_event_[r] =
-      sim_.after(duration, [this, rack] { end_link_degrade(rack); });
-}
-
-void Cluster::end_link_degrade(RackId rack) {
-  network_->set_uplink_degraded(rack, false);
-  if (run_finished()) return;
-  schedule_link_onset(rack);  // the chain continues until the run ends
+  // Degraded rack uplinks: cross-rack transfers touching the rack limp.
+  link_chain_.emplace(sim_, topology_->rack_count(), Hooks{
+      .running = [this] { return !run_finished(); },
+      .uptime = [this] { return netfault_process_->sample_link_uptime(); },
+      .onset = [this](std::size_t r) {
+        const SimDuration duration = netfault_process_->sample_link_duration();
+        if (!link_chain_->begin(r, duration)) return;
+        network_->set_uplink_degraded(static_cast<RackId>(r), true);
+        ++result_.link_degrade_episodes;
+        if (tracer_ == nullptr) return;
+        tracer_->link_degraded(static_cast<RackId>(r), to_seconds(duration));
+      },
+      .ended = [this](std::size_t r) {
+        network_->set_uplink_degraded(static_cast<RackId>(r), false);
+      }});
 }
 
 void Cluster::fail_job(JobId job) {
@@ -1724,11 +1658,11 @@ void Cluster::cancel_pending_churn() {
   monitor_event_.cancel();
   for (auto& handle : next_failure_) handle.cancel();
   for (auto& handle : recover_event_) handle.cancel();
-  for (auto& handle : degrade_event_) handle.cancel();
+  degrade_chain_->cancel_all();
   // Racks partitioned at run end stay partitioned: post-run repair retries
   // see them unreachable and abandon, which is the intended teardown.
-  for (auto& handle : partition_event_) handle.cancel();
-  for (auto& handle : link_event_) handle.cancel();
+  partition_chain_->cancel_all();
+  link_chain_->cancel_all();
   latent_event_.cancel();
   // The gauge sampler must die with the run too: a sample event left in the
   // queue would fire after the last job and inflate the makespan.
@@ -2216,6 +2150,14 @@ void Cluster::validate() const {
          " != recount " + std::to_string(live));
   }
 
+  // Episode chains: while the run is live every subject holds exactly the
+  // one event its state calls for (see faults::EpisodeChain).
+  if (ran_ && !run_finished() &&
+      !(degrade_chain_->consistent() && partition_chain_->consistent() &&
+        link_chain_->consistent())) {
+    fail("an episode chain breaks the one-pending-event rule");
+  }
+
   // Repair-queue audit: membership index and queue agree, and every
   // first-time enqueue is accounted for — queued, in flight, landed, or
   // abandoned. Nothing leaks.
@@ -2591,7 +2533,9 @@ metrics::RunResult Cluster::run_with(
     schedule_latent_corruption();
   }
   for (const auto& ev : options_.partition_events) {
-    sim_.at(ev.at, [this, ev] { begin_partition(ev.rack, ev.duration); });
+    sim_.at(ev.at, [this, ev] {
+      partition_chain_->begin(static_cast<std::size_t>(ev.rack), ev.duration);
+    });
   }
   if (!options_.failures.empty() || options_.faults.enabled ||
       netfault_active_) {
@@ -2608,16 +2552,14 @@ metrics::RunResult Cluster::run_with(
     }
   }
   if (straggler_process_ != nullptr) {
-    for (std::size_t w = 0; w < data_nodes_.size(); ++w) {
-      schedule_degrade_onset(static_cast<NodeId>(w));
-    }
+    for (std::size_t w = 0; w < data_nodes_.size(); ++w) degrade_chain_->arm(w);
   }
   if (netfault_process_ != nullptr && topology_->rack_count() > 1) {
     // Single-rack topologies have no inter-rack boundary to partition or
     // degrade; the process still forked (stream discipline) but idles.
     for (std::size_t r = 0; r < topology_->rack_count(); ++r) {
-      schedule_partition_onset(static_cast<RackId>(r));
-      schedule_link_onset(static_cast<RackId>(r));
+      partition_chain_->arm(r);
+      link_chain_->arm(r);
     }
   }
   if (options_.enable_speculation) {

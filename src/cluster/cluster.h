@@ -10,9 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -25,6 +25,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "core/replication_policy.h"
+#include "faults/episode_chain.h"
 #include "faults/fault_model.h"
 #include "metrics/run_metrics.h"
 #include "net/network.h"
@@ -142,34 +143,21 @@ class Cluster {
   /// Urgency of repairing `block` now: critical when at most one live
   /// reachable replica remains, bulk otherwise.
   RepairClass classify_repair(BlockId block) const;
-  bool node_alive(std::size_t worker) const { return !dead_[worker]; }
   bool node_usable(std::size_t worker) const {
     return !dead_[worker] && !blacklisted_[worker];
   }
 
-  /// --- network faults (partitions + degraded uplinks) ---------------------
-  /// Per-rack episode chains mirroring the degrade-chain pattern: onset
-  /// events sample the netfault process's forked stream, end events heal
-  /// and chain the next onset unless the run already finished. A
-  /// partitioned rack keeps running physically — its heartbeats are lost at
-  /// the boundary, the missed-beat detector declares its nodes dead, and
-  /// heal reconciles the survivors via the same full re-registration path
-  /// a rebooted node uses (node_rejoined prunes surplus copies exactly
-  /// once).
-  void schedule_partition_onset(RackId rack);
-  void begin_partition(RackId rack, SimDuration duration);
-  void end_partition(RackId rack);
-  void schedule_link_onset(RackId rack);
-  void begin_link_degrade(RackId rack, SimDuration duration);
-  void end_link_degrade(RackId rack);
+  /// Hook the straggler and netfault draws and effects into the chains.
+  void build_episode_chains();
   /// Full block-report reconciliation of a declared-dead node that is
   /// physically alive again (partition healed, or reboot finished): scrub
   /// corrupt copies, node_rejoined, prune surplus statics, rebuild the
-  /// policy, reset the blacklist. Shared by recover_node and end_partition.
+  /// policy, reset the blacklist. Shared by recover_node and the partition
+  /// heal.
   void reregister_node(NodeId worker);
   bool node_partitioned(std::size_t worker) const {
-    return netfault_active_ &&
-           rack_partitioned_[static_cast<std::size_t>(node_rack_[worker])];
+    return netfault_active_ && partition_chain_->active(
+                                   static_cast<std::size_t>(node_rack_[worker]));
   }
 
   /// Speculative execution.
@@ -181,15 +169,6 @@ class Cluster {
   bool run_finished() const;
 
   /// --- stragglers: injection (physical truth) -----------------------------
-  /// Degraded-mode state machine, mirroring the stochastic-churn epoch
-  /// pattern: each node alternates nominal/degraded on its own chain of
-  /// events driven by the straggler process's forked stream. Degradation
-  /// only changes task physics (compute + disk multipliers); no mitigation
-  /// decision ever reads `degraded_` directly.
-  void schedule_degrade_onset(NodeId worker);
-  void begin_degrade(NodeId worker, SimDuration duration,
-                     bool rack_correlated);
-  void end_degrade(NodeId worker);
   /// Compute-side duration adjustment for an attempt launching on `worker`:
   /// the degraded-mode compute multiplier plus one heavy-tailed inflation
   /// draw (a fixed draw per launch whenever the process is enabled).
@@ -246,6 +225,13 @@ class Cluster {
   /// subsystem off this reproduces the pre-checksum read path draw for draw.
   ReadPlan plan_read(NodeId worker, BlockId block, Bytes bytes,
                      bool node_local);
+  /// `holder`'s disk time for `bytes`, slowed while the holder is degraded.
+  SimDuration holder_read(std::size_t holder, Bytes bytes) {
+    const SimDuration disk = data_nodes_[holder]->read_duration(bytes);
+    if (!degrade_chain_->active(holder)) return disk;
+    return static_cast<SimDuration>(static_cast<double>(disk) *
+                                    options_.stragglers.disk_slowdown);
+  }
   /// One checksum verification of `holder`'s copy of `block`. Draws exactly
   /// one corruption sample per call when the stochastic process is on,
   /// independent of the replica's current state.
@@ -374,31 +360,26 @@ class Cluster {
   /// at construction from the profile knobs.
   std::vector<double> node_slowdown_;
 
-  /// Stochastic straggler subsystem. `degraded_` is physical truth (the
-  /// node is limping); the detection state below is the name node's belief,
-  /// inferred from observed attempt durations only.
+  /// Stochastic straggler subsystem. `degrade_chain_->active(w)` is
+  /// physical truth (the node is limping; only task physics reads it); the
+  /// detection state below is the name node's belief, inferred from
+  /// observed attempt durations only.
   std::unique_ptr<faults::StragglerProcess> straggler_process_;
-  std::vector<bool> degraded_;
-  /// Pending onset *or* recovery event of each node's degrade chain (one in
-  /// flight per node); cancelled wholesale once the run finishes.
-  std::vector<sim::EventHandle> degrade_event_;
+  std::optional<faults::EpisodeChain> degrade_chain_;
 
   /// Network-fault subsystem. `netfault_active_` gates every reaction path
   /// (reachability filters, heartbeat loss, the declare-partitioned
   /// relaxation) and is true when either the stochastic process or scripted
   /// partition events are configured; the forked process itself exists only
-  /// when options_.netfault.enabled. `rack_partitioned_` is physical truth
-  /// about the interconnect, mirrored into net::Network for transfer
-  /// modeling.
+  /// when options_.netfault.enabled. `partition_chain_->active(r)` is
+  /// physical truth about the interconnect, mirrored into net::Network for
+  /// transfer modeling, as is `link_chain_->active(r)`.
   std::unique_ptr<faults::NetworkFaultProcess> netfault_process_;
   bool netfault_active_ = false;
   std::vector<RackId> node_rack_;  ///< cached topology_->rack_of per node
-  std::vector<bool> rack_partitioned_;
   std::vector<SimTime> rack_partition_start_;
-  /// Pending onset *or* end event of each rack's partition / link chains
-  /// (one in flight per rack per chain); cancelled once the run finishes.
-  std::vector<sim::EventHandle> partition_event_;
-  std::vector<sim::EventHandle> link_event_;
+  std::optional<faults::EpisodeChain> partition_chain_;
+  std::optional<faults::EpisodeChain> link_chain_;
 
   /// Straggler-detection state (see note_attempt_progress /
   /// straggler_decision).

@@ -1,0 +1,50 @@
+#include "faults/episode_chain.h"
+
+#include <string>
+#include <utility>
+
+#include "common/invariant.h"
+
+namespace dare::faults {
+
+EpisodeChain::EpisodeChain(sim::Simulation& sim, std::size_t subjects,
+                           Hooks hooks)
+    : sim_(&sim),
+      hooks_(std::move(hooks)),
+      active_(subjects, 0),
+      event_(subjects) {}
+
+void EpisodeChain::arm(std::size_t i) {
+  DARE_INVARIANT(!event_[i].pending(),
+                 "EpisodeChain: arm over a pending event doubles the chain");
+  armed_ = true;
+  event_[i] = sim_->after(hooks_.uptime(), [this, i] {
+    if (hooks_.running()) hooks_.onset(i);
+    continue_chain(i);
+  });
+}
+
+bool EpisodeChain::begin(std::size_t i, SimDuration duration) {
+  if (!hooks_.running() || active_[i] != 0) return false;
+  if (hooks_.start && !hooks_.start(i, duration)) return false;
+  event_[i].cancel();
+  active_[i] = 1;
+  ++active_count_;
+  event_[i] = sim_->after(duration, [this, i] {
+    active_[i] = 0;
+    --active_count_;
+    hooks_.ended(i);
+    continue_chain(i);
+  });
+  return true;
+}
+
+void EpisodeChain::continue_chain(std::size_t i) {
+  const bool live = hooks_.running();
+  if (armed_ && live && active_[i] == 0 && !event_[i].pending()) arm(i);
+  DARE_INVARIANT(!live || consistent(i),
+                 "EpisodeChain: subject " + std::to_string(i) +
+                     " breaks the one-pending-event rule");
+}
+
+}  // namespace dare::faults

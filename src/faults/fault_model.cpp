@@ -11,13 +11,6 @@ namespace dare::faults {
 
 namespace {
 
-void check_probability(double p, const char* what) {
-  if (p < 0.0 || p > 1.0) {
-    throw std::invalid_argument(std::string("FaultProcess: ") + what +
-                                " must be in [0, 1]");
-  }
-}
-
 // Negated comparisons so NaN (which fails every comparison) is rejected by
 // the same branch as an out-of-range value.
 void require_positive(double x, const char* field) {
@@ -45,10 +38,8 @@ void require_at_least(double x, double lo, const char* field) {
   }
 }
 
-}  // namespace
-
-void validate_fault_params(const FaultInjectionParams& params,
-                           std::size_t worker_count) {
+/// validate_fault_params minus the worker-count floor FaultProcess lacks.
+void validate_fault_fields(const FaultInjectionParams& params) {
   require_positive(params.mtbf_s, "FaultInjectionParams.mtbf_s");
   require_positive(params.mttr_s, "FaultInjectionParams.mttr_s");
   require_fraction(params.permanent_fraction,
@@ -57,6 +48,18 @@ void validate_fault_params(const FaultInjectionParams& params,
                    "FaultInjectionParams.rack_correlation");
   require_fraction(params.task_failure_prob,
                    "FaultInjectionParams.task_failure_prob");
+}
+
+}  // namespace
+
+SimDuration episode_time(Rng& rng, double mean_s) {
+  return std::max<SimDuration>(from_millis(1.0),
+                               from_seconds(rng.exponential(1.0 / mean_s)));
+}
+
+void validate_fault_params(const FaultInjectionParams& params,
+                           std::size_t worker_count) {
+  validate_fault_fields(params);
   // The floor only bites when the injector actually runs; small test
   // clusters routinely carry the default floor with churn disabled.
   if (params.enabled && params.min_live_workers >= worker_count) {
@@ -118,20 +121,7 @@ void validate_netfault_params(const NetworkFaultParams& params) {
 
 FaultProcess::FaultProcess(const FaultInjectionParams& params, Rng& parent)
     : params_(params), rng_(parent.fork()) {
-  if (params_.mtbf_s <= 0.0) {
-    throw std::invalid_argument("FaultProcess: mtbf_s must be positive");
-  }
-  if (params_.mttr_s <= 0.0) {
-    throw std::invalid_argument("FaultProcess: mttr_s must be positive");
-  }
-  check_probability(params_.permanent_fraction, "permanent_fraction");
-  check_probability(params_.rack_correlation, "rack_correlation");
-  check_probability(params_.task_failure_prob, "task_failure_prob");
-}
-
-SimDuration FaultProcess::sample_uptime() {
-  return std::max<SimDuration>(from_millis(1.0),
-                               from_seconds(rng_.exponential(1.0 / params_.mtbf_s)));
+  validate_fault_fields(params_);
 }
 
 FailureSample FaultProcess::sample_failure() {
@@ -141,8 +131,7 @@ FailureSample FaultProcess::sample_failure() {
                     : FaultKind::kTransient;
   // Downtime is drawn for every failure so the draw sequence (and therefore
   // everything downstream) does not depend on the kind chosen above.
-  sample.downtime = std::max<SimDuration>(
-      from_millis(1.0), from_seconds(rng_.exponential(1.0 / params_.mttr_s)));
+  sample.downtime = episode_time(rng_, params_.mttr_s);
   sample.rack_correlated = rng_.bernoulli(params_.rack_correlation);
   return sample;
 }
@@ -165,12 +154,6 @@ bool CorruptionProcess::sample_read_corruption(Bytes bytes) {
   return rng_.bernoulli(p);
 }
 
-SimDuration CorruptionProcess::sample_latent_interval() {
-  return std::max<SimDuration>(
-      from_millis(1.0),
-      from_seconds(rng_.exponential(1.0 / params_.sector_mtbf_s)));
-}
-
 double CorruptionProcess::pick_fraction() { return rng_.uniform(); }
 
 StragglerProcess::StragglerProcess(const StragglerParams& params, Rng& parent)
@@ -178,19 +161,11 @@ StragglerProcess::StragglerProcess(const StragglerParams& params, Rng& parent)
   validate_straggler_params(params_);
 }
 
-SimDuration StragglerProcess::sample_degrade_uptime() {
-  return std::max<SimDuration>(
-      from_millis(1.0),
-      from_seconds(rng_.exponential(1.0 / params_.degrade_mtbf_s)));
-}
-
 DegradeSample StragglerProcess::sample_degrade() {
   DegradeSample sample;
   // Both fields are drawn on every call so the draw sequence (and therefore
   // everything downstream) never depends on how a sample is used.
-  sample.duration = std::max<SimDuration>(
-      from_millis(1.0),
-      from_seconds(rng_.exponential(1.0 / params_.degrade_duration_s)));
+  sample.duration = episode_time(rng_, params_.degrade_duration_s);
   sample.rack_correlated = rng_.bernoulli(params_.rack_correlation);
   return sample;
 }
@@ -214,30 +189,6 @@ NetworkFaultProcess::NetworkFaultProcess(const NetworkFaultParams& params,
                                          Rng& parent)
     : params_(params), rng_(parent.fork()) {
   validate_netfault_params(params_);
-}
-
-SimDuration NetworkFaultProcess::sample_partition_uptime() {
-  return std::max<SimDuration>(
-      from_millis(1.0),
-      from_seconds(rng_.exponential(1.0 / params_.partition_mtbf_s)));
-}
-
-SimDuration NetworkFaultProcess::sample_partition_duration() {
-  return std::max<SimDuration>(
-      from_millis(1.0),
-      from_seconds(rng_.exponential(1.0 / params_.partition_duration_s)));
-}
-
-SimDuration NetworkFaultProcess::sample_link_uptime() {
-  return std::max<SimDuration>(
-      from_millis(1.0),
-      from_seconds(rng_.exponential(1.0 / params_.link_degrade_mtbf_s)));
-}
-
-SimDuration NetworkFaultProcess::sample_link_duration() {
-  return std::max<SimDuration>(
-      from_millis(1.0),
-      from_seconds(rng_.exponential(1.0 / params_.link_degrade_duration_s)));
 }
 
 }  // namespace dare::faults

@@ -200,6 +200,11 @@ void validate_straggler_params(const StragglerParams& params);
 /// (0, 1], a latency inflation below 1, or a negative connect timeout.
 void validate_netfault_params(const NetworkFaultParams& params);
 
+/// The episode-time rule every fault chain shares (uptimes, downtimes,
+/// episode lengths): one exponential draw with mean `mean_s` seconds,
+/// floored at 1 ms so no chain ever schedules a zero delay.
+SimDuration episode_time(Rng& rng, double mean_s);
+
 /// One sampled node failure.
 struct FailureSample {
   FaultKind kind = FaultKind::kTransient;
@@ -214,13 +219,12 @@ struct FailureSample {
 /// forked RNG stream.
 class FaultProcess {
  public:
-  /// Forks a child stream off `parent`. Throws std::invalid_argument when
-  /// the parameters are out of range (non-positive MTBF/MTTR, probabilities
-  /// outside [0, 1]).
+  /// Forks a child stream off `parent`. Throws std::invalid_argument (via
+  /// the validate_fault_params field checks) on out-of-range parameters.
   FaultProcess(const FaultInjectionParams& params, Rng& parent);
 
   /// Time until the next failure of a node that is up now.
-  SimDuration sample_uptime();
+  SimDuration sample_uptime() { return episode_time(rng_, params_.mtbf_s); }
 
   /// Kind, downtime, and rack correlation of a failure happening now.
   FailureSample sample_failure();
@@ -250,15 +254,15 @@ class CorruptionProcess {
 
   /// Time until the next latent sector-loss event. Only meaningful when
   /// sector_mtbf_s > 0.
-  SimDuration sample_latent_interval();
+  SimDuration sample_latent_interval() {
+    return episode_time(rng_, params_.sector_mtbf_s);
+  }
 
   /// Uniform draw in [0, 1) used to pick the victim node/replica of a
   /// latent event. Kept as a raw fraction so the caller can map it onto
   /// whatever candidate list exists at event time without burning a
   /// variable number of draws.
   double pick_fraction();
-
-  const CorruptionParams& params() const { return params_; }
 
  private:
   CorruptionParams params_;
@@ -285,7 +289,9 @@ class StragglerProcess {
 
   /// Time until the next degraded-mode onset of a node running at nominal
   /// speed now.
-  SimDuration sample_degrade_uptime();
+  SimDuration sample_degrade_uptime() {
+    return episode_time(rng_, params_.degrade_mtbf_s);
+  }
 
   /// Duration and rack correlation of a degraded episode starting now.
   DegradeSample sample_degrade();
@@ -294,8 +300,6 @@ class StragglerProcess {
   /// tail coin misses). The heavy-tailed factor is drawn on every call so
   /// the stream position is independent of the coin's outcome.
   double sample_task_inflation();
-
-  const StragglerParams& params() const { return params_; }
 
  private:
   StragglerParams params_;
@@ -314,20 +318,20 @@ class NetworkFaultProcess {
   /// validate_netfault_params) when the parameters are out of range.
   NetworkFaultProcess(const NetworkFaultParams& params, Rng& parent);
 
-  /// Time until the next partition onset of a rack that is connected now.
-  SimDuration sample_partition_uptime();
-
-  /// Length of a partition episode starting now.
-  SimDuration sample_partition_duration();
-
-  /// Time until the next uplink-degradation onset of a rack whose uplink is
-  /// nominal now.
-  SimDuration sample_link_uptime();
-
-  /// Length of an uplink-degradation episode starting now.
-  SimDuration sample_link_duration();
-
-  const NetworkFaultParams& params() const { return params_; }
+  /// Time until the next partition / uplink-degradation onset of an idle
+  /// rack, and the length of an episode starting now.
+  SimDuration sample_partition_uptime() {
+    return episode_time(rng_, params_.partition_mtbf_s);
+  }
+  SimDuration sample_partition_duration() {
+    return episode_time(rng_, params_.partition_duration_s);
+  }
+  SimDuration sample_link_uptime() {
+    return episode_time(rng_, params_.link_degrade_mtbf_s);
+  }
+  SimDuration sample_link_duration() {
+    return episode_time(rng_, params_.link_degrade_duration_s);
+  }
 
  private:
   NetworkFaultParams params_;

@@ -21,10 +21,6 @@ void Network::set_rack_partitioned(RackId rack, bool partitioned) {
   partitioned_.at(static_cast<std::size_t>(rack)) = partitioned ? 1 : 0;
 }
 
-bool Network::rack_partitioned(RackId rack) const {
-  return partitioned_.at(static_cast<std::size_t>(rack)) != 0;
-}
-
 bool Network::reachable(NodeId a, NodeId b) const {
   if (a == b || topology_->same_rack(a, b)) return true;
   return partitioned_[static_cast<std::size_t>(topology_->rack_of(a))] == 0 &&
@@ -33,10 +29,6 @@ bool Network::reachable(NodeId a, NodeId b) const {
 
 void Network::set_uplink_degraded(RackId rack, bool degraded) {
   degraded_links_.at(static_cast<std::size_t>(rack)) = degraded ? 1 : 0;
-}
-
-bool Network::uplink_degraded(RackId rack) const {
-  return degraded_links_.at(static_cast<std::size_t>(rack)) != 0;
 }
 
 void Network::set_degradation_factors(double bandwidth_cut,

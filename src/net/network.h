@@ -47,7 +47,7 @@ class Network {
   /// Active cross-rack flows touching a rack's uplink.
   int active_uplink_flows(RackId rack) const;
 
-  /// Network-fault state (driven by the cluster's NetworkFaultProcess).
+  /// Network-fault state (mirrored from the cluster's episode chains).
   /// A partitioned rack is cut off from every other rack: transfers across
   /// the boundary are impossible and the caller must consult reachable()
   /// before planning one. Degradation limps instead of cutting: cross-rack
@@ -56,13 +56,11 @@ class Network {
   /// stochastic samplers, so the RNG draw sequence — and therefore every
   /// run with faults disabled — is bit-identical to a build without them.
   void set_rack_partitioned(RackId rack, bool partitioned);
-  bool rack_partitioned(RackId rack) const;
   /// Can `a` talk to `b` right now? Same-rack traffic never crosses the
   /// faulted switch; cross-rack traffic requires both endpoint racks
   /// connected.
   bool reachable(NodeId a, NodeId b) const;
   void set_uplink_degraded(RackId rack, bool degraded);
-  bool uplink_degraded(RackId rack) const;
   /// Multipliers applied to transfers crossing a degraded uplink.
   void set_degradation_factors(double bandwidth_cut, double latency_inflation);
 

@@ -17,7 +17,8 @@
 // A fourth suite adds network faults — stochastic rack partitions and
 // degraded inter-rack uplinks — on top of churn + corruption, and audits
 // the partition lifecycle (every heal matches an episode) and the repair
-// ledger (every first-time enqueue terminally lands or is abandoned).
+// ledger (every first-time enqueue terminally lands or is abandoned). It
+// also mixes scripted partitions into the stochastic chains.
 //
 // 24 runs per suite = 4 seeds x {FIFO, Fair} x {Vanilla, GreedyLRU,
 // ElephantTrap}. The nightly CI job extends the seed list via the
@@ -554,6 +555,45 @@ TEST_P(NetFaultSoak, ChurnCorruptionAndPartitionsSurvive) {
   t.unreachable_reads += result.unreachable_reads;
   t.repairs_enqueued += result.repairs_enqueued;
   t.repair_retries += result.repair_retries;
+}
+
+// Scripted partitions layered over the armed stochastic chains: one
+// supersedes its rack's pending onset, one lands on an already-partitioned
+// rack (absorbed), and a cluster-wide burst trips the connected-side guard.
+// Every path must leave each rack exactly one pending event, which the
+// chain audit (a throwing DARE_INVARIANT here) and validate() check.
+TEST_P(NetFaultSoak, ScriptedPartitionsOverlapStochasticChains) {
+  ThrowOnInvariant guard;
+  const auto [scheduler, policy, seed] = GetParam();
+  auto opts = netfault_soak_options(scheduler, policy, seed);
+  std::size_t racks = 0;
+  RackId first = 0;
+  {
+    Cluster probe(opts);
+    racks = probe.topology().rack_count();
+    first = probe.topology().rack_of(0);
+  }
+  opts.partition_events.push_back({from_seconds(5.0), first,
+                                   from_seconds(20.0)});
+  opts.partition_events.push_back({from_seconds(12.0), first,
+                                   from_seconds(5.0)});
+  for (std::size_t r = 0; r < racks; ++r) {
+    opts.partition_events.push_back(
+        {from_seconds(30.0), static_cast<RackId>(r), from_seconds(10.0)});
+  }
+  const auto wl = soak_workload(seed);
+
+  Cluster cluster(opts);
+  metrics::RunResult result;
+  ASSERT_NO_THROW(result = cluster.run(wl))
+      << scheduler_name(scheduler) << "/" << policy_name(policy) << " seed "
+      << seed;
+  ASSERT_EQ(result.jobs.size(), wl.jobs.size());
+  EXPECT_NO_THROW(cluster.validate());
+  EXPECT_GE(result.partition_episodes, 1u);
+  EXPECT_LE(result.partitions_healed, result.partition_episodes);
+  EXPECT_EQ(result.repairs_enqueued,
+            result.repairs_landed + result.repairs_abandoned);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schedules, NetFaultSoak,

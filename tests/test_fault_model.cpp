@@ -1,12 +1,17 @@
 // Unit tests for the stochastic fault model (src/faults/): parameter
-// validation, distribution sanity, and bit-reproducibility of the sampled
-// schedules.
+// validation, distribution sanity, bit-reproducibility of the sampled
+// schedules, and the episode-chain engine's one-pending-event rule.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "common/rng.h"
+#include "faults/episode_chain.h"
 #include "faults/fault_model.h"
+#include "sim/simulation.h"
 
 namespace dare::faults {
 namespace {
@@ -29,12 +34,16 @@ TEST(FaultModel, RejectsNonPositiveMtbf) {
   EXPECT_THROW(FaultProcess(p, rng), std::invalid_argument);
   p.mtbf_s = -5.0;
   EXPECT_THROW(FaultProcess(p, rng), std::invalid_argument);
+  p.mtbf_s = std::nan("");
+  EXPECT_THROW(FaultProcess(p, rng), std::invalid_argument);
 }
 
 TEST(FaultModel, RejectsNonPositiveMttr) {
   Rng rng(1);
   auto p = typical();
   p.mttr_s = 0.0;
+  EXPECT_THROW(FaultProcess(p, rng), std::invalid_argument);
+  p.mttr_s = std::nan("");
   EXPECT_THROW(FaultProcess(p, rng), std::invalid_argument);
 }
 
@@ -132,6 +141,96 @@ TEST(FaultModel, DrawSequenceIsKindIndependent) {
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(pa.sample_failure().downtime, pb.sample_failure().downtime);
   }
+}
+
+// --- EpisodeChain -----------------------------------------------------------
+
+/// A chain over `subjects` with a fixed 10 s uptime and 3 s episodes, live
+/// while `live` is set. Records every onset and end time.
+struct ChainFixture {
+  explicit ChainFixture(std::size_t subjects = 1) {
+    EpisodeChain::Hooks hooks;
+    hooks.running = [this] { return live; };
+    hooks.uptime = [this] {
+      ++uptime_draws;
+      return from_seconds(10.0);
+    };
+    hooks.onset = [this](std::size_t i) {
+      onsets.push_back(sim.now());
+      chain->begin(i, from_seconds(3.0));
+    };
+    hooks.ended = [this](std::size_t) { ends.push_back(sim.now()); };
+    chain.emplace(sim, subjects, std::move(hooks));
+  }
+
+  sim::Simulation sim;
+  bool live = true;
+  int uptime_draws = 0;
+  std::vector<SimTime> onsets;
+  std::vector<SimTime> ends;
+  std::optional<EpisodeChain> chain;
+};
+
+TEST(EpisodeChain, ScriptedBeginCancelsPendingOnset) {
+  ChainFixture f;
+  f.chain->arm(0);  // onset due at 10 s
+  f.sim.at(from_seconds(2.0), [&f] {
+    EXPECT_TRUE(f.chain->begin(0, from_seconds(3.0)));
+  });
+  f.sim.at(from_seconds(20.0), [&f] { f.live = false; });
+  f.sim.run();
+  // The 10 s onset never fired: the end at 5 s re-armed for 15 s, whose
+  // episode ended at 18 s and armed an onset that found the run over.
+  EXPECT_EQ(f.onsets, (std::vector<SimTime>{from_seconds(15.0)}));
+  EXPECT_EQ(f.ends, (std::vector<SimTime>{from_seconds(5.0),
+                                          from_seconds(18.0)}));
+  EXPECT_FALSE(f.chain->active(0));
+  EXPECT_EQ(f.sim.now(), from_seconds(28.0));
+}
+
+TEST(EpisodeChain, BeginWhileActiveIsAbsorbed) {
+  ChainFixture f;
+  EXPECT_TRUE(f.chain->begin(0, from_seconds(5.0)));
+  EXPECT_FALSE(f.chain->begin(0, from_seconds(1.0)));
+  EXPECT_TRUE(f.chain->active(0));
+  EXPECT_TRUE(f.chain->consistent());
+  f.sim.run();
+  // One end, at the first episode's time. The chain was never armed, so
+  // it is scripted-only and the end does not re-arm.
+  EXPECT_EQ(f.ends, (std::vector<SimTime>{from_seconds(5.0)}));
+  EXPECT_EQ(f.uptime_draws, 0);
+  EXPECT_TRUE(f.chain->consistent());
+}
+
+TEST(EpisodeChain, EndRearmsOnceAndNotAfterTheRun) {
+  ChainFixture f;
+  f.chain->arm(0);
+  f.sim.step();  // the onset at 10 s begins an episode
+  ASSERT_TRUE(f.chain->active(0));
+  f.sim.step();  // its end at 13 s re-arms once
+  EXPECT_EQ(f.uptime_draws, 2);
+  EXPECT_EQ(f.sim.pending_events(), 1u);
+  EXPECT_TRUE(f.chain->consistent());
+
+  f.sim.step();  // the onset at 23 s begins a new episode
+  ASSERT_TRUE(f.chain->active(0));
+  f.live = false;
+  f.sim.step();  // its end at 26 s finds the run over
+  EXPECT_EQ(f.uptime_draws, 2);
+  EXPECT_EQ(f.sim.pending_events(), 0u);
+}
+
+TEST(EpisodeChain, CancelAllEmptiesTheQueue) {
+  ChainFixture f(4);
+  for (std::size_t i = 0; i < 4; ++i) f.chain->arm(i);
+  EXPECT_TRUE(f.chain->begin(2, from_seconds(3.0)));
+  EXPECT_EQ(f.sim.pending_events(), 4u);
+  f.chain->cancel_all();
+  EXPECT_EQ(f.sim.pending_events(), 0u);
+  EXPECT_TRUE(f.chain->active(2));  // active subjects stay active
+  f.sim.run();
+  EXPECT_TRUE(f.onsets.empty());
+  EXPECT_TRUE(f.ends.empty());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 // the NetFaultSoak suite in test_chaos_soak.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "cluster/cluster.h"
@@ -223,6 +224,35 @@ TEST(NetFault, ScriptedPartitionIsDetectedAndHeals) {
   // landed or was abandoned.
   EXPECT_EQ(result.repairs_enqueued,
             result.repairs_landed + result.repairs_abandoned);
+}
+
+// A scripted partition on a rack whose stochastic chain is armed supersedes
+// the rack's pending onset instead of orphaning it. An orphaned onset
+// escaped the run-end cancel and dragged the makespan out to its fire time
+// (~10^6 s here).
+TEST(NetFault, ScriptedPartitionSupersedesPendingOnset) {
+  ThrowOnInvariant guard;
+  auto opts = partition_options();
+  opts.netfault.enabled = true;
+  opts.netfault.partition_mtbf_s = 1e6;
+  opts.netfault.link_degrade_mtbf_s = 1e6;
+  const auto wl = partition_workload();
+
+  Cluster cluster(opts);
+  metrics::RunResult result;
+  ASSERT_NO_THROW(result = cluster.run(wl));
+
+  EXPECT_EQ(result.partition_episodes, 1u);
+  EXPECT_EQ(result.partitions_healed, 1u);
+  SimTime last_completion = 0;
+  for (const auto& jm : result.jobs) {
+    last_completion = std::max(last_completion, jm.completion);
+  }
+  const SimDuration detection_window =
+      opts.heartbeat_interval *
+      static_cast<SimDuration>(opts.detection_missed_heartbeats);
+  EXPECT_LE(result.makespan, last_completion + detection_window);
+  EXPECT_NO_THROW(cluster.validate());
 }
 
 TEST(NetFault, HealRepairRacePrunesSurplusExactlyOnce) {
