@@ -666,106 +666,67 @@ Cluster::ReadPlan Cluster::plan_read(NodeId worker, BlockId block, Bytes bytes,
 }
 
 void Cluster::launch_map(NodeId worker, const sched::MapSelection& selection) {
-  const auto w = static_cast<std::size_t>(worker);
+  const JobId job = selection.job;
   const std::size_t map_index =
-      jobs_.launch_map(selection.job, selection.pending_index,
-                       selection.locality);
-  const sched::MapTaskSpec task =
-      jobs_.job(selection.job).spec.maps[map_index];
-  const storage::BlockMeta meta = name_node_->block(task.block);
-  slots_.take_map(w);
+      jobs_.launch_map(job, selection.pending_index, selection.locality);
   if (tracer_ != nullptr) {
-    tracer_->map_launched(worker, selection.job, map_index,
+    tracer_->map_launched(worker, job, map_index,
                           static_cast<int>(selection.locality),
                           /*speculative=*/false);
   }
-
-  const bool node_local = selection.node_local();
-  const ReadPlan plan = plan_read(worker, task.block, task.bytes, node_local);
-  const SimDuration compute =
-      straggler_compute(worker, options_.map_setup + task.cpu);
-  SimDuration duration = compute + plan.duration;
-  const NodeId src = plan.src;
-  const bool remote_flow = plan.remote_flow;
-  duration = static_cast<SimDuration>(static_cast<double>(duration) *
-                                      node_slowdown_[w]);
-
-  // The DARE hook: the block is streaming through this node anyway, so the
-  // policy may capture it (remote case) or refresh its bookkeeping (local).
-  // `node_local` is the scheduler's view at launch — kept even when a
-  // checksum failure rerouted the read, so the policy draw sequence is
-  // independent of corruption outcomes.
-  {
-    obs::PhaseScope prof(profiler_, obs::Phase::kReplication);
-    policies_[w]->on_map_task(meta, node_local);
+  const SimDuration duration = start_map_attempt(
+      worker, job, map_index, selection.locality, AttemptKind::kPrimary);
+  if (scarlett_ || options_.record_access_trace) {
+    const BlockId block = jobs_.job(job).spec.maps[map_index].block;
+    const FileId file = name_node_->block(block).file;
+    if (scarlett_) scarlett_->record_access(file);
+    if (options_.record_access_trace) {
+      access_trace_.events.push_back({file, sim_.now()});
+    }
   }
-  if (scarlett_) scarlett_->record_access(meta.file);
-  if (options_.record_access_trace) {
-    access_trace_.events.push_back({meta.file, sim_.now()});
-  }
-
   map_time_stats_.add(to_seconds(duration));
-
-  const JobId job = selection.job;
-  const double duration_s = to_seconds(duration);
-  auto& state = running_maps_[task_key(job, map_index)];
-  state.block = task.block;
-  state.original_locality = selection.locality;
-  MapAttempt attempt;
-  attempt.node = worker;
-  attempt.started = sim_.now();
-  attempt.speculative = false;
-  attempt.holds_flow = remote_flow;
-  attempt.flow_src = src;
-  attempt.completion = sim_.after(
-      duration, [this, job, map_index, worker, remote_flow, src, duration_s] {
-        on_map_attempt_finished(job, map_index, worker, remote_flow, src,
-                                duration_s);
-      });
-  state.attempts.push_back(std::move(attempt));
   // Proactive cloning fires at launch time, not on a timer: the clone runs
   // from the start, hedging against a slow node before any evidence exists.
-  maybe_clone(job, map_index, worker);
+  maybe_clone(job, map_index);
 }
 
-void Cluster::launch_speculative(NodeId worker, JobId job,
-                                 std::size_t map_index) {
+SimDuration Cluster::start_map_attempt(NodeId worker, JobId job,
+                                       std::size_t map_index,
+                                       sched::Locality locality,
+                                       AttemptKind kind) {
   const auto w = static_cast<std::size_t>(worker);
   const sched::MapTaskSpec task = jobs_.job(job).spec.maps[map_index];
   const storage::BlockMeta meta = name_node_->block(task.block);
   slots_.take_map(w);
-  ++result_.speculative_launched;
-
-  const bool node_local = locator_->is_local(worker, task.block);
-  if (tracer_ != nullptr) {
-    const auto loc = node_local ? sched::Locality::kNodeLocal
-                     : locator_->is_rack_local(worker, task.block)
-                         ? sched::Locality::kRackLocal
-                         : sched::Locality::kOffRack;
-    tracer_->map_launched(worker, job, map_index, static_cast<int>(loc),
-                          /*speculative=*/true);
-  }
+  const bool node_local = locality == sched::Locality::kNodeLocal;
   const ReadPlan plan = plan_read(worker, task.block, task.bytes, node_local);
   const SimDuration compute =
       straggler_compute(worker, options_.map_setup + task.cpu);
-  SimDuration duration = compute + plan.duration;
-  const NodeId src = plan.src;
-  const bool remote_flow = plan.remote_flow;
-  duration = static_cast<SimDuration>(static_cast<double>(duration) *
-                                      node_slowdown_[w]);
-  // The backup attempt reads the block through this node too — the DARE
-  // hook applies exactly as for a regular attempt.
+  const auto duration = static_cast<SimDuration>(
+      static_cast<double>(compute + plan.duration) * node_slowdown_[w]);
+
+  // The DARE hook: every attempt streams the block through this node, so
+  // the policy may capture it (remote case) or refresh its bookkeeping
+  // (local). `node_local` is the scheduler's view at launch — kept even
+  // when a checksum failure rerouted the read, so the policy draw sequence
+  // is independent of corruption outcomes.
   {
     obs::PhaseScope prof(profiler_, obs::Phase::kReplication);
     policies_[w]->on_map_task(meta, node_local);
   }
 
-  const double duration_s = to_seconds(duration);
   auto& state = running_maps_[task_key(job, map_index)];
-  MapAttempt attempt;
+  if (kind == AttemptKind::kPrimary) {
+    state.block = task.block;
+    state.original_locality = locality;
+  }
+  const NodeId src = plan.src;
+  const bool remote_flow = plan.remote_flow;
+  const double duration_s = to_seconds(duration);
+  MapAttempt& attempt = state.attempts.emplace_back();
   attempt.node = worker;
   attempt.started = sim_.now();
-  attempt.speculative = true;
+  attempt.kind = kind;
   attempt.holds_flow = remote_flow;
   attempt.flow_src = src;
   attempt.completion = sim_.after(
@@ -773,7 +734,50 @@ void Cluster::launch_speculative(NodeId worker, JobId job,
         on_map_attempt_finished(job, map_index, worker, remote_flow, src,
                                 duration_s);
       });
-  state.attempts.push_back(std::move(attempt));
+  return duration;
+}
+
+NodeId Cluster::pick_backup_node(const MapTaskState& state) const {
+  // A detected-slow node is never a hedge target: launching the hedge on a
+  // suspect defeats its purpose.
+  const NodeId running = state.attempts.front().node;
+  NodeId best = kInvalidNode;
+  for (std::size_t w = 0; w < data_nodes_.size(); ++w) {
+    const auto node = static_cast<NodeId>(w);
+    if (node == running || !node_open_for_launch(w) ||
+        slots_.free_maps(w) == 0) {
+      continue;
+    }
+    if (locator_->is_local(node, state.block)) return node;
+    if (best == kInvalidNode) best = node;
+  }
+  return best;
+}
+
+sched::Locality Cluster::locality_of(NodeId worker, BlockId block) const {
+  if (locator_->is_local(worker, block)) return sched::Locality::kNodeLocal;
+  return locator_->is_rack_local(worker, block) ? sched::Locality::kRackLocal
+                                                : sched::Locality::kOffRack;
+}
+
+bool Cluster::drop_map_attempt(MapAttempt& attempt, JobId job,
+                               std::size_t map_index) {
+  // A completion that already fired left a zombie on a lost node; its flow
+  // was released at fire time (holds_flow is false), but its trace slice
+  // is still open and closes here like any other.
+  const bool pending = attempt.completion.cancel();
+  if (pending && attempt.holds_flow) {
+    network_->flow_finished(attempt.flow_src, attempt.node);
+  }
+  if (attempt.kind == AttemptKind::kClone) {
+    ++result_.clones_killed;
+    clone_wasted_work_ += sim_.now() - attempt.started;
+    if (tracer_ != nullptr) tracer_->clone_killed(attempt.node, job, map_index);
+    retire_clone(job);
+  } else if (tracer_ != nullptr) {
+    tracer_->map_killed(attempt.node, job, map_index);
+  }
+  return pending;
 }
 
 SimDuration Cluster::straggler_compute(NodeId worker, SimDuration compute) {
@@ -844,7 +848,7 @@ void Cluster::straggler_decision(NodeId worker) {
   }
 }
 
-void Cluster::maybe_clone(JobId job, std::size_t map_index, NodeId original) {
+void Cluster::maybe_clone(JobId job, std::size_t map_index) {
   if (!options_.enable_task_cloning) return;
   if (running_clones_ >= clone_budget_slots_) return;
   if (options_.clone_job_max_maps != 0 &&
@@ -855,70 +859,16 @@ void Cluster::maybe_clone(JobId job, std::size_t map_index, NodeId original) {
   if (it == running_maps_.end()) return;
   const MapTaskState& state = it->second;
   if (state.attempts.size() != 1) return;
-  // Same target scan as speculation: a free open slot, preferring one local
-  // to the block; detected-slow nodes are never clone targets.
-  NodeId best = kInvalidNode;
-  for (std::size_t w = 0; w < data_nodes_.size(); ++w) {
-    if (!node_open_for_launch(w) || slots_.free_maps(w) == 0) continue;
-    if (static_cast<NodeId>(w) == original) continue;
-    const auto node = static_cast<NodeId>(w);
-    if (locator_->is_local(node, state.block)) {
-      best = node;
-      break;
-    }
-    if (best == kInvalidNode) best = node;
-  }
-  if (best == kInvalidNode) return;
-  launch_clone(best, job, map_index);
-}
-
-void Cluster::launch_clone(NodeId worker, JobId job, std::size_t map_index) {
-  const auto w = static_cast<std::size_t>(worker);
-  const sched::MapTaskSpec task = jobs_.job(job).spec.maps[map_index];
-  const storage::BlockMeta meta = name_node_->block(task.block);
-  slots_.take_map(w);
+  const NodeId target = pick_backup_node(state);
+  if (target == kInvalidNode) return;
+  const sched::Locality locality = locality_of(target, state.block);
   ++result_.clones_launched;
   ++running_clones_;
   jobs_.launch_clone(job);
-
-  const bool node_local = locator_->is_local(worker, task.block);
   if (tracer_ != nullptr) {
-    const auto loc = node_local ? sched::Locality::kNodeLocal
-                     : locator_->is_rack_local(worker, task.block)
-                         ? sched::Locality::kRackLocal
-                         : sched::Locality::kOffRack;
-    tracer_->clone_launched(worker, job, map_index, static_cast<int>(loc));
+    tracer_->clone_launched(target, job, map_index, static_cast<int>(locality));
   }
-  const ReadPlan plan = plan_read(worker, task.block, task.bytes, node_local);
-  const SimDuration compute =
-      straggler_compute(worker, options_.map_setup + task.cpu);
-  SimDuration duration = compute + plan.duration;
-  const NodeId src = plan.src;
-  const bool remote_flow = plan.remote_flow;
-  duration = static_cast<SimDuration>(static_cast<double>(duration) *
-                                      node_slowdown_[w]);
-  // The clone streams the block through this node too — the DARE hook
-  // applies exactly as for any other attempt.
-  {
-    obs::PhaseScope prof(profiler_, obs::Phase::kReplication);
-    policies_[w]->on_map_task(meta, node_local);
-  }
-
-  const double duration_s = to_seconds(duration);
-  auto& state = running_maps_[task_key(job, map_index)];
-  MapAttempt attempt;
-  attempt.node = worker;
-  attempt.started = sim_.now();
-  attempt.speculative = false;
-  attempt.clone = true;
-  attempt.holds_flow = remote_flow;
-  attempt.flow_src = src;
-  attempt.completion = sim_.after(
-      duration, [this, job, map_index, worker, remote_flow, src, duration_s] {
-        on_map_attempt_finished(job, map_index, worker, remote_flow, src,
-                                duration_s);
-      });
-  state.attempts.push_back(std::move(attempt));
+  start_map_attempt(target, job, map_index, locality, AttemptKind::kClone);
 }
 
 void Cluster::retire_clone(JobId job) {
@@ -960,8 +910,9 @@ void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
     return;
   }
 
-  const bool was_speculative = att_it->speculative;
-  const bool was_clone = att_it->clone;
+  const AttemptKind kind = att_it->kind;
+  const bool was_speculative = kind == AttemptKind::kSpeculative;
+  const bool was_clone = kind == AttemptKind::kClone;
   state.attempts.erase(att_it);
   slots_.give_map(wi);
   // A clone's budget is returned the moment it reports back, win or fail —
@@ -1025,31 +976,13 @@ void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
     tracer_->job_finished(job, to_seconds(sim_.now() - done.arrival));
   }
 
-  // Kill the losing attempts: cancel their completion events, release the
-  // network flows they held, and free their slots now (Hadoop sends a kill
-  // to the slower attempt).
+  // Kill the losing attempts and free their slots now (Hadoop sends a kill
+  // to the slower attempt). A zombie on a lost node holds no slot.
   for (auto& other : state.attempts) {
-    const bool cancelled = other.completion.cancel();
-    if (other.clone) {
-      // A losing clone retires here whether its completion was still
-      // pending (a real kill) or already fired as a zombie on a dead node —
-      // the erase below destroys it either way, unseen by any later sweep.
-      ++result_.clones_killed;
-      clone_wasted_work_ += sim_.now() - other.started;
-      if (tracer_ != nullptr) tracer_->clone_killed(other.node, job, map_index);
-      retire_clone(job);
-    } else if (cancelled && tracer_ != nullptr) {
-      tracer_->map_killed(other.node, job, map_index);
-    }
-    if (cancelled) {
-      if (!other.clone) ++result_.speculative_killed;
-      if (other.holds_flow) {
-        network_->flow_finished(other.flow_src, other.node);
-      }
-      if (!dead_[static_cast<std::size_t>(other.node)]) {
-        slots_.give_map(static_cast<std::size_t>(other.node));
-      }
-    }
+    if (!drop_map_attempt(other, job, map_index)) continue;
+    if (other.kind != AttemptKind::kClone) ++result_.speculative_killed;
+    const auto node = static_cast<std::size_t>(other.node);
+    if (!dead_[node]) slots_.give_map(node);
   }
   running_maps_.erase(state_it);
 
@@ -1093,21 +1026,17 @@ void Cluster::speculation_tick() {
       if (state.attempts.size() != 1) continue;  // already speculated
       const double age_s = to_seconds(sim_.now() - state.attempts[0].started);
       if (age_s < options_.speculation_threshold * mean_s) continue;
-      // Find a free open slot, preferring one local to the block. A
-      // detected-slow node is never a backup target — launching the hedge
-      // on a suspect defeats its purpose.
-      NodeId best = kInvalidNode;
-      for (std::size_t w = 0; w < data_nodes_.size(); ++w) {
-        if (!node_open_for_launch(w) || slots_.free_maps(w) == 0) continue;
-        if (static_cast<NodeId>(w) == state.attempts[0].node) continue;
-        const auto node = static_cast<NodeId>(w);
-        if (locator_->is_local(node, state.block)) {
-          best = node;
-          break;
-        }
-        if (best == kInvalidNode) best = node;
+      const NodeId target = pick_backup_node(state);
+      if (target == kInvalidNode) continue;
+      const sched::Locality locality = locality_of(target, state.block);
+      ++result_.speculative_launched;
+      if (tracer_ != nullptr) {
+        tracer_->map_launched(target, id, map_index,
+                              static_cast<int>(locality),
+                              /*speculative=*/true);
       }
-      if (best != kInvalidNode) launch_speculative(best, id, map_index);
+      start_map_attempt(target, id, map_index, locality,
+                        AttemptKind::kSpeculative);
     }
   }
   if (!run_finished()) {
@@ -1310,28 +1239,11 @@ void Cluster::cleanup_node_attempts(NodeId worker) {
         state.attempts.begin(), state.attempts.end(),
         [worker](const MapAttempt& a) { return a.node == worker; });
     if (att_it == state.attempts.end()) continue;
-    const auto sweep_job = static_cast<JobId>(key >> 20);
-    const auto sweep_index = static_cast<std::size_t>(key & 0xFFFFF);
-    // A still-pending completion is cancelled here; if it already fired as
-    // a zombie, its flow was released at fire time (holds_flow false).
-    if (att_it->completion.cancel() && att_it->holds_flow) {
-      network_->flow_finished(att_it->flow_src, att_it->node);
-    }
-    if (att_it->clone) {
-      // The node died with the clone on it: its budget comes back here.
-      ++result_.clones_killed;
-      clone_wasted_work_ += sim_.now() - att_it->started;
-      if (tracer_ != nullptr) {
-        tracer_->clone_killed(worker, sweep_job, sweep_index);
-      }
-      retire_clone(sweep_job);
-    } else if (tracer_ != nullptr) {
-      tracer_->map_killed(worker, sweep_job, sweep_index);
-    }
+    const auto [job, map_index] = task_of(key);
+    // The node's slots left the pool with it: none is returned here.
+    drop_map_attempt(*att_it, job, map_index);
     state.attempts.erase(att_it);
     if (state.attempts.empty()) {
-      const auto job = static_cast<JobId>(key >> 20);
-      const auto map_index = static_cast<std::size_t>(key & 0xFFFFF);
       if (tracer_ != nullptr) tracer_->map_requeued(worker, job, map_index);
       jobs_.requeue_running_map(job, map_index, state.original_locality);
       ++result_.task_reexecutions;
@@ -1579,35 +1491,16 @@ void Cluster::fail_job(JobId job) {
   std::vector<std::uint64_t> keys;
   // dare-lint: allow(unordered-iteration) -- keys are sorted before use.
   for (const auto& [key, state] : running_maps_) {
-    if (static_cast<JobId>(key >> 20) == job) keys.push_back(key);
+    if (task_of(key).first == job) keys.push_back(key);
   }
   std::sort(keys.begin(), keys.end());
   for (const std::uint64_t key : keys) {
     const auto it = running_maps_.find(key);
+    const std::size_t map_index = task_of(key).second;
     for (auto& attempt : it->second.attempts) {
-      const auto map_index = static_cast<std::size_t>(key & 0xFFFFF);
-      const bool cancelled = attempt.completion.cancel();
-      if (attempt.clone) {
-        // Clone retirement must happen for zombies too (cancel() == false):
-        // the erase below destroys the attempt unseen by any later sweep.
-        ++result_.clones_killed;
-        clone_wasted_work_ += sim_.now() - attempt.started;
-        if (tracer_ != nullptr) {
-          tracer_->clone_killed(attempt.node, job, map_index);
-        }
-        retire_clone(job);
-      } else if (cancelled && tracer_ != nullptr) {
-        tracer_->map_killed(attempt.node, job, map_index);
-      }
-      if (cancelled) {
-        if (attempt.holds_flow) {
-          network_->flow_finished(attempt.flow_src, attempt.node);
-        }
-        if (!dead_[static_cast<std::size_t>(attempt.node)]) {
-          slots_.give_map(static_cast<std::size_t>(attempt.node));
-        }
-      }
-      // cancel() == false: zombie on a dead node, flow already released.
+      if (!drop_map_attempt(attempt, job, map_index)) continue;
+      const auto node = static_cast<std::size_t>(attempt.node);
+      if (!dead_[node]) slots_.give_map(node);
     }
     running_maps_.erase(it);
   }
@@ -2293,7 +2186,7 @@ void Cluster::validate() const {
   // dare-lint: allow(unordered-iteration) -- commutative count.
   for (const auto& [key, state] : running_maps_) {
     for (const auto& att : state.attempts) {
-      if (att.clone) ++clone_attempts;
+      if (att.kind == AttemptKind::kClone) ++clone_attempts;
     }
   }
   if (clone_attempts != running_clones_) {

@@ -15,6 +15,7 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "cluster/options.h"
@@ -160,9 +161,58 @@ class Cluster {
                                    static_cast<std::size_t>(node_rack_[worker]));
   }
 
+  /// --- map attempts ------------------------------------------------------
+  /// One entry per map task with >= 1 running attempt: the scheduler's
+  /// primary, plus at most one hedge (a speculative backup or a budgeted
+  /// clone) on another node. Key = task_key(job, map index).
+  enum class AttemptKind : std::uint8_t { kPrimary, kSpeculative, kClone };
+  struct MapAttempt {
+    NodeId node = kInvalidNode;
+    SimTime started = 0;
+    sim::EventHandle completion;
+    AttemptKind kind = AttemptKind::kPrimary;
+    /// Remote-read flow held by this attempt (released on completion or on
+    /// kill — a cancelled completion event can no longer release it).
+    bool holds_flow = false;
+    NodeId flow_src = kInvalidNode;
+  };
+  struct MapTaskState {
+    BlockId block = kInvalidBlock;
+    sched::Locality original_locality = sched::Locality::kOffRack;
+    std::vector<MapAttempt> attempts;
+  };
+  static std::uint64_t task_key(JobId job, std::size_t map_index) {
+    DARE_INVARIANT(job >= 0 && map_index < (1u << 20),
+                   "Cluster: task_key would collide (map index >= 2^20 or "
+                   "negative job id)");
+    return (static_cast<std::uint64_t>(job) << 20) |
+           static_cast<std::uint64_t>(map_index);
+  }
+  /// Inverse of task_key: (job, map index).
+  static std::pair<JobId, std::size_t> task_of(std::uint64_t key) {
+    return {static_cast<JobId>(key >> 20),
+            static_cast<std::size_t>(key & ((1u << 20) - 1))};
+  }
+
+  /// The one map-attempt launcher: slot, read plan, compute draw, static
+  /// slowdown, DARE hook, then the attempt and its completion (a primary
+  /// also opens the task's entry). Callers count and trace the launch
+  /// first. Returns the attempt's duration.
+  SimDuration start_map_attempt(NodeId worker, JobId job,
+                                std::size_t map_index,
+                                sched::Locality locality, AttemptKind kind);
+  /// Hedge target for a task with one running attempt: a free slot on an
+  /// open node other than the attempt's, block-local first, else the
+  /// lowest id; kInvalidNode when none is free.
+  NodeId pick_backup_node(const MapTaskState& state) const;
+  sched::Locality locality_of(NodeId worker, BlockId block) const;
+  /// The one kill rule: cancel the completion, release a held flow, close
+  /// the trace slice, and retire a clone. Returns whether the completion
+  /// was still pending (the caller then decides about the slot).
+  bool drop_map_attempt(MapAttempt& attempt, JobId job, std::size_t map_index);
+
   /// Speculative execution.
   void speculation_tick();
-  void launch_speculative(NodeId worker, JobId job, std::size_t map_index);
   void on_map_attempt_finished(JobId job, std::size_t map_index,
                                NodeId worker, bool remote_flow, NodeId src,
                                double duration_s);
@@ -191,13 +241,12 @@ class Cluster {
   }
 
   /// --- proactive task cloning ---------------------------------------------
-  /// Launch a budgeted clone of the map just launched on `original`, if the
-  /// budget, job filter, and a free slot on another open node allow it.
-  void maybe_clone(JobId job, std::size_t map_index, NodeId original);
-  void launch_clone(NodeId worker, JobId job, std::size_t map_index);
+  /// Launch a budgeted clone of the map just launched, if the budget, the
+  /// job filter and a backup target allow it.
+  void maybe_clone(JobId job, std::size_t map_index);
   /// Exactly-once clone retirement: decrements the cluster-wide and per-job
-  /// running-clone counts. Called from every path that removes a clone
-  /// attempt (self-finish, winner kill, node-loss sweep, job failure).
+  /// running-clone counts. Called when a clone reports back and from
+  /// drop_map_attempt.
   void retire_clone(JobId job);
 
   /// Pick the replica source for a remote read: same rack first, then
@@ -395,36 +444,9 @@ class Cluster {
   std::size_t running_clones_ = 0;
   SimDuration clone_wasted_work_ = 0;
 
-  /// Speculative-execution state: one entry per map task with >= 1 running
-  /// attempt. Key = (job << 20) | map_index.
-  struct MapAttempt {
-    NodeId node = kInvalidNode;
-    SimTime started = 0;
-    sim::EventHandle completion;
-    bool speculative = false;
-    /// Proactive clone (budgeted duplicate launched with the original);
-    /// mutually exclusive with `speculative`.
-    bool clone = false;
-    /// Remote-read flow held by this attempt (released on completion or on
-    /// kill — a cancelled completion event can no longer release it).
-    bool holds_flow = false;
-    NodeId flow_src = kInvalidNode;
-  };
-  struct MapTaskState {
-    BlockId block = kInvalidBlock;
-    sched::Locality original_locality = sched::Locality::kOffRack;
-    std::vector<MapAttempt> attempts;
-  };
-  static std::uint64_t task_key(JobId job, std::size_t map_index) {
-    DARE_INVARIANT(job >= 0 && map_index < (1u << 20),
-                   "Cluster: task_key would collide (map index >= 2^20 or "
-                   "negative job id)");
-    return (static_cast<std::uint64_t>(job) << 20) |
-           static_cast<std::uint64_t>(map_index);
-  }
-  /// Slab-backed: attempt records churn at task rate (one insert/erase per
-  /// map launched anywhere in the run), so recycling their nodes through an
-  /// arena removes the highest-frequency heap traffic in the simulator.
+  /// Running map tasks (see MapTaskState). Slab-backed: attempt records
+  /// churn at task rate, so recycling their nodes through an arena removes
+  /// the highest-frequency heap traffic in the simulator.
   std::unordered_map<
       std::uint64_t, MapTaskState, std::hash<std::uint64_t>,
       std::equal_to<std::uint64_t>,

@@ -12,7 +12,7 @@
 // A third suite adds degraded-mode nodes and heavy-tailed task inflation on
 // top of churn + corruption, with the full mitigation stack armed
 // (straggler detection, budgeted cloning, speculation), and audits the
-// clone ledger and degrade-episode ordering.
+// clone ledger, degrade-episode ordering and trace-slice balance.
 //
 // A fourth suite adds network faults — stochastic rack partitions and
 // degraded inter-rack uplinks — on top of churn + corruption, and audits
@@ -38,6 +38,9 @@
 #include "common/invariant.h"
 #include "metrics/run_metrics.h"
 #include "net/profile.h"
+#include "obs/trace_collector.h"
+#include "soak_options.h"
+#include "trace_balance.h"
 
 namespace dare::cluster {
 namespace {
@@ -82,34 +85,6 @@ std::vector<std::uint64_t> soak_seeds() {
     }
   }
   return seeds;
-}
-
-workload::Workload soak_workload(std::uint64_t seed) {
-  workload::WorkloadOptions opts;
-  opts.num_jobs = 50;
-  opts.seed = seed;
-  opts.catalog.small_files = 16;
-  opts.catalog.large_files = 2;
-  opts.catalog.large_min_blocks = 5;
-  opts.catalog.large_max_blocks = 8;
-  return workload::make_wl1(opts);
-}
-
-ClusterOptions soak_options(SchedulerKind scheduler, PolicyKind policy,
-                            std::uint64_t seed) {
-  // ec2_profile: multi-rack, so rack-correlated failures actually take
-  // whole racks down.
-  auto opts = paper_defaults(net::ec2_profile(10), scheduler, policy, seed);
-  opts.faults.enabled = true;
-  opts.faults.mtbf_s = 60.0;
-  opts.faults.mttr_s = 20.0;
-  opts.faults.permanent_fraction = 0.25;
-  opts.faults.rack_correlation = 0.3;
-  opts.faults.task_failure_prob = 0.01;
-  opts.faults.min_live_workers = 4;
-  opts.rereplication_interval = from_seconds(2.0);
-  opts.rereplication_batch = 32;
-  return opts;
 }
 
 using SoakParam = std::tuple<SchedulerKind, PolicyKind, std::uint64_t>;
@@ -218,16 +193,6 @@ struct CorruptionTotals {
 CorruptionTotals& corruption_totals() {
   static CorruptionTotals t;
   return t;
-}
-
-ClusterOptions corruption_soak_options(SchedulerKind scheduler,
-                                       PolicyKind policy,
-                                       std::uint64_t seed) {
-  auto opts = soak_options(scheduler, policy, seed);
-  opts.corruption.enabled = true;
-  opts.corruption.bitrot_per_gb = 1.0;
-  opts.corruption.sector_mtbf_s = 45.0;
-  return opts;
 }
 
 class CorruptionSoak : public ::testing::TestWithParam<SoakParam> {};
@@ -349,7 +314,8 @@ TEST(CorruptionSoakLastReplica, QuarantineNeverDeletesFinalCopy) {
 // and heavy-tailed task inflation — with the whole mitigation stack armed
 // (progress-rate straggler detection, budgeted task cloning, speculation).
 // Clone accounting must balance exactly even when node deaths, job kills,
-// and zombie attempts interleave with the clone races.
+// and zombie attempts interleave with the clone races. Each case runs a
+// second time traced: same fingerprint, and no map slice left open.
 
 struct StragglerTotals {
   std::uint64_t runs = 0;
@@ -363,27 +329,6 @@ struct StragglerTotals {
 StragglerTotals& straggler_totals() {
   static StragglerTotals t;
   return t;
-}
-
-ClusterOptions straggler_soak_options(SchedulerKind scheduler,
-                                      PolicyKind policy, std::uint64_t seed) {
-  auto opts = corruption_soak_options(scheduler, policy, seed);
-  opts.stragglers.enabled = true;
-  opts.stragglers.degrade_mtbf_s = 50.0;
-  opts.stragglers.degrade_duration_s = 25.0;
-  opts.stragglers.compute_slowdown = 4.0;
-  opts.stragglers.disk_slowdown = 2.5;
-  opts.stragglers.rack_correlation = 0.3;
-  opts.stragglers.tail_prob = 0.1;
-  opts.stragglers.tail_alpha = 1.2;
-  opts.stragglers.tail_cap = 8.0;
-  opts.enable_straggler_detection = true;
-  opts.straggler_detect_min_samples = 2;
-  opts.straggler_backoff = from_seconds(15.0);
-  opts.enable_task_cloning = true;
-  opts.clone_budget_fraction = 0.15;
-  opts.enable_speculation = true;
-  return opts;
 }
 
 class StragglerSoak : public ::testing::TestWithParam<SoakParam> {};
@@ -437,6 +382,19 @@ TEST_P(StragglerSoak, ChurnCorruptionAndStragglersSurvive) {
       }
     }
   }
+
+  // The same run traced: tracing only observes, and every map attempt the
+  // hedges, kills and node-loss sweeps ended closed its trace slice.
+  auto traced = opts;
+  obs::TraceCollector tracer;
+  traced.tracer = &tracer;
+  EXPECT_EQ(metrics::fingerprint(run_once(traced, wl)),
+            metrics::fingerprint(result))
+      << scheduler_name(scheduler) << "/" << policy_name(policy) << " seed "
+      << seed;
+  EXPECT_EQ(obs::testing::open_map_slices(tracer), "")
+      << scheduler_name(scheduler) << "/" << policy_name(policy) << " seed "
+      << seed;
 
   auto& t = straggler_totals();
   ++t.runs;

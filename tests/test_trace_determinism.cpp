@@ -9,6 +9,9 @@
 //  2. Traced runs are themselves deterministic: two same-seed runs export
 //     byte-identical Chrome-trace JSON and events CSV (timestamps are
 //     sim-time only; dare_lint bans wall clocks in src/obs).
+//
+//  3. Every map attempt's trace slice closes, including a zombie (its node
+//     was lost after its completion fired) killed when a sibling wins.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -19,6 +22,8 @@
 #include "obs/phase_profiler.h"
 #include "obs/trace_collector.h"
 #include "obs/trace_export.h"
+#include "soak_options.h"
+#include "trace_balance.h"
 
 namespace dare::cluster {
 namespace {
@@ -136,6 +141,20 @@ TEST(TraceDeterminism, SameSeedExportsAreByteIdentical) {
       << "same seed, different time-series CSV";
   EXPECT_FALSE(first.json.empty());
   EXPECT_NE(first.events_csv.find('\n'), std::string::npos);
+}
+
+TEST(TraceDeterminism, KilledZombieMapAttemptsCloseTheirSlices) {
+  // Straggler-soak cases whose hedged tasks race a node loss: in each, a
+  // map attempt's node dies after its completion already fired, and a
+  // sibling attempt then wins the task and kills the zombie.
+  for (const std::uint64_t seed : {505u, 808u}) {
+    auto options = straggler_soak_options(SchedulerKind::kFair,
+                                          PolicyKind::kElephantTrap, seed);
+    obs::TraceCollector tracer;
+    options.tracer = &tracer;
+    run_once(options, soak_workload(seed));
+    EXPECT_EQ(obs::testing::open_map_slices(tracer), "") << "seed " << seed;
+  }
 }
 
 }  // namespace
