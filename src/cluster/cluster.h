@@ -114,15 +114,15 @@ class Cluster {
   void launch_reduce(NodeId worker, JobId job);
   void maybe_schedule_tick();
 
-  /// Fault injection + repair. A node *failing* (fail_node) and the name
-  /// node *detecting* the failure (declare_node_dead, driven by
-  /// detection_tick's missed-heartbeat scan) are separate events: no call
-  /// site learns of a death before the heartbeat timeout expires.
+  /// Fault injection + repair. A node *failing* (fail_node, a churn
+  /// episode) and the name node *detecting* the failure (declare_node_dead,
+  /// driven by detection_tick's missed-heartbeat scan) are separate events:
+  /// no call site learns of a death before the heartbeat timeout expires.
+  /// A permanent kill is an episode without an end; a transient one ends
+  /// after max(downtime, 1 ms). Absorbed once the run is over.
   void fail_node(NodeId worker, faults::FaultKind kind, SimDuration downtime);
   void declare_node_dead(NodeId worker);
   void detection_tick();
-  void recover_node(NodeId worker, std::uint64_t epoch);
-  void schedule_stochastic_failure(NodeId worker, std::uint64_t epoch);
   /// Cancel + requeue every attempt running on `worker` (its tracker died
   /// or rebooted; either way it will not report those tasks back).
   void cleanup_node_attempts(NodeId worker);
@@ -145,17 +145,24 @@ class Cluster {
   /// reachable replica remains, bulk otherwise.
   RepairClass classify_repair(BlockId block) const;
   bool node_usable(std::size_t worker) const {
-    return !dead_[worker] && !blacklisted_[worker];
+    return !node_dead(worker) && !blacklisted_[worker];
+  }
+  /// Physical truth: the node's process is down (a churn episode is on).
+  bool node_dead(std::size_t worker) const {
+    return churn_chain_->active(worker);
+  }
+  std::size_t live_workers() const {
+    return data_nodes_.size() - churn_chain_->active_count();
   }
 
-  /// Hook the straggler and netfault draws and effects into the chains.
+  /// Hook each fault layer's draws and effects into its chain.
   void build_episode_chains();
-  /// Full block-report reconciliation of a declared-dead node that is
-  /// physically alive again (partition healed, or reboot finished): scrub
-  /// corrupt copies, node_rejoined, prune surplus statics, rebuild the
-  /// policy, reset the blacklist. Shared by recover_node and the partition
-  /// heal.
-  void reregister_node(NodeId worker);
+  /// The one rejoin rule, for a node physically back in touch with the
+  /// master (reboot finished, or partition healed). Undeclared: requeue its
+  /// attempts and return its slots. Declared dead: full block-report
+  /// reconciliation — scrub corrupt copies, node_rejoined, prune surplus
+  /// statics, rebuild the policy, reset the blacklist, return the slots.
+  void rejoin_node(NodeId worker);
   bool node_partitioned(std::size_t worker) const {
     return netfault_active_ && partition_chain_->active(
                                    static_cast<std::size_t>(node_rack_[worker]));
@@ -346,25 +353,18 @@ class Cluster {
   std::size_t assign_rotation_ = 0;
   bool ran_ = false;
 
-  /// Fault-injection state. `dead_` is physical truth (the node's process
-  /// is down); `declared_dead_` is the name node's belief, which lags by
-  /// the heartbeat-detection latency. A transient blip shorter than the
+  /// Fault-injection state. `churn_chain_->active(w)` is physical truth
+  /// (node_dead: the node's process is down, for good after a permanent
+  /// kill); `declared_dead_` is the name node's belief, which lags by the
+  /// heartbeat-detection latency. A transient blip shorter than the
   /// detection timeout never flips `declared_dead_` at all.
-  std::vector<bool> dead_;
-  /// Workers with !dead_, kept where dead_ flips (fail_node, recover_node).
-  std::size_t live_workers_ = 0;
+  std::optional<faults::EpisodeChain> churn_chain_;
   std::vector<bool> declared_dead_;
   std::vector<SimTime> death_time_;
-  std::vector<faults::FaultKind> death_kind_;
-  /// Bumped on every death *and* every recovery; pending failure/recovery
-  /// events carry the epoch they were scheduled under and no-op on mismatch.
-  std::vector<std::uint64_t> fault_epoch_;
   std::vector<bool> blacklisted_;
   std::vector<std::size_t> node_task_failures_;
   std::unique_ptr<faults::FaultProcess> fault_process_;
   std::vector<sim::EventHandle> heartbeat_event_;
-  std::vector<sim::EventHandle> next_failure_;
-  std::vector<sim::EventHandle> recover_event_;
   sim::EventHandle monitor_event_;
   /// Two-class prioritized repair queue (dedup + deterministic ordering;
   /// see cluster/repair_scheduler.h). Replaced the PR 5 FIFO deque.

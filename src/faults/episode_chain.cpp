@@ -11,7 +11,7 @@ EpisodeChain::EpisodeChain(sim::Simulation& sim, std::size_t subjects,
                            Hooks hooks)
     : sim_(&sim),
       hooks_(std::move(hooks)),
-      active_(subjects, 0),
+      state_(subjects, kIdle),
       event_(subjects) {}
 
 void EpisodeChain::arm(std::size_t i) {
@@ -25,13 +25,17 @@ void EpisodeChain::arm(std::size_t i) {
 }
 
 bool EpisodeChain::begin(std::size_t i, SimDuration duration) {
-  if (!hooks_.running() || active_[i] != 0) return false;
+  if (!hooks_.running() || state_[i] != kIdle) return false;
   if (hooks_.start && !hooks_.start(i, duration)) return false;
   event_[i].cancel();
-  active_[i] = 1;
   ++active_count_;
+  if (duration == kNoEnd) {
+    state_[i] = kEndless;
+    return true;
+  }
+  state_[i] = kEnding;
   event_[i] = sim_->after(duration, [this, i] {
-    active_[i] = 0;
+    state_[i] = kIdle;
     --active_count_;
     hooks_.ended(i);
     continue_chain(i);
@@ -41,7 +45,7 @@ bool EpisodeChain::begin(std::size_t i, SimDuration duration) {
 
 void EpisodeChain::continue_chain(std::size_t i) {
   const bool live = hooks_.running();
-  if (armed_ && live && active_[i] == 0 && !event_[i].pending()) arm(i);
+  if (armed_ && live && state_[i] == kIdle && !event_[i].pending()) arm(i);
   DARE_INVARIANT(!live || consistent(i),
                  "EpisodeChain: subject " + std::to_string(i) +
                      " breaks the one-pending-event rule");

@@ -233,5 +233,39 @@ TEST(EpisodeChain, CancelAllEmptiesTheQueue) {
   EXPECT_TRUE(f.ends.empty());
 }
 
+TEST(EpisodeChain, NoEndEpisodeStaysActiveWithNothingPending) {
+  ChainFixture f;
+  EXPECT_TRUE(f.chain->begin(0, EpisodeChain::kNoEnd));
+  EXPECT_TRUE(f.chain->active(0));
+  EXPECT_EQ(f.chain->active_count(), 1u);
+  EXPECT_EQ(f.sim.pending_events(), 0u);
+  EXPECT_TRUE(f.chain->consistent());
+  f.chain->cancel_all();  // nothing to cancel: the subject stays active
+  EXPECT_TRUE(f.chain->active(0));
+  EXPECT_TRUE(f.chain->consistent());
+  f.sim.run();
+  EXPECT_TRUE(f.ends.empty());
+  EXPECT_TRUE(f.chain->active(0));
+}
+
+TEST(EpisodeChain, NoEndBeginCancelsOnsetAndIsNeverRearmed) {
+  ChainFixture f;
+  f.chain->arm(0);  // onset due at 10 s
+  f.sim.at(from_seconds(2.0), [&f] {
+    EXPECT_TRUE(f.chain->begin(0, EpisodeChain::kNoEnd));
+    EXPECT_FALSE(f.chain->begin(0, from_seconds(3.0)));  // absorbed
+    EXPECT_TRUE(f.chain->consistent());
+  });
+  f.sim.at(from_seconds(40.0), [&f] { f.live = false; });
+  f.sim.run();
+  // The 10 s onset never fired, no end ever came, and the only uptime
+  // drawn was the first arm's.
+  EXPECT_TRUE(f.onsets.empty());
+  EXPECT_TRUE(f.ends.empty());
+  EXPECT_EQ(f.uptime_draws, 1);
+  EXPECT_TRUE(f.chain->active(0));
+  EXPECT_EQ(f.sim.now(), from_seconds(40.0));
+}
+
 }  // namespace
 }  // namespace dare::faults

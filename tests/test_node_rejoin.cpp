@@ -132,6 +132,30 @@ TEST(NodeRejoin, PermanentFailureNeverRejoins) {
   EXPECT_NO_THROW(cluster.validate());
 }
 
+TEST(NodeRejoin, ScriptedKillAfterTheRunIsAbsorbed) {
+  // The Determinism.WithFailuresAndSpeculation setup: permanent kills at
+  // 30 s and 90 s, but the last job completes near 47 s. Like a scripted
+  // partition, a kill that fires once the run is over starts no episode.
+  ThrowOnInvariant guard;
+  auto opts = paper_defaults(net::cct_profile(10), SchedulerKind::kFair,
+                             PolicyKind::kElephantTrap);
+  opts.failures.push_back({from_seconds(30.0), 2});
+  opts.failures.push_back({from_seconds(90.0), 5});
+  opts.enable_speculation = true;
+  Cluster cluster(opts);
+  metrics::RunResult result;
+  ASSERT_NO_THROW(result = cluster.run(standard_wl1(10, 60)));
+
+  SimTime last_completion = 0;
+  for (const auto& jm : result.jobs) {
+    last_completion = std::max(last_completion, jm.completion);
+  }
+  ASSERT_LT(last_completion, from_seconds(90.0));
+  EXPECT_EQ(result.node_failures, 1u);
+  EXPECT_EQ(result.permanent_failures, 1u);
+  EXPECT_NO_THROW(cluster.validate());
+}
+
 TEST(NodeRejoin, RejoiningPoliciesRebuildWithoutBudgetViolations) {
   // Satellite regression: a node with a full replication cache fails
   // transiently, re-replication repairs its blocks elsewhere, and the node
