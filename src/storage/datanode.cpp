@@ -17,6 +17,10 @@ void DataNode::add_static_block(const BlockMeta& block) {
   if (static_index_.count(block.id)) {
     throw std::logic_error("DataNode: duplicate static block");
   }
+  // No duplicate physical replica of a block, in any lifecycle state.
+  DARE_INVARIANT(dynamic_.count(block.id) + marked_.count(block.id) == 0,
+                 "DataNode: static copy over a dynamic replica of block " +
+                     std::to_string(block.id));
   static_blocks_.push_back(block);
   static_index_.insert(block.id);
   static_bytes_ += block.size;

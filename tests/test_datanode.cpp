@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
+#include "common/invariant.h"
 #include "net/profile.h"
 
 namespace dare::storage {
@@ -32,6 +34,31 @@ TEST_F(DataNodeTest, StaticBlocksAccumulate) {
 TEST_F(DataNodeTest, DuplicateStaticBlockThrows) {
   node_.add_static_block(blk(1));
   EXPECT_THROW(node_.add_static_block(blk(1)), std::logic_error);
+}
+
+#if DARE_INVARIANTS_ENABLED
+[[noreturn]] void throwing_handler(const InvariantViolation& v) {
+  throw std::logic_error("invariant violated: " + v.message);
+}
+#endif
+
+TEST_F(DataNodeTest, StaticCopyOverADynamicCopyTripsTheInvariant) {
+#if DARE_INVARIANTS_ENABLED
+  struct Guard {
+    InvariantHandler previous = set_invariant_handler(&throwing_handler);
+    ~Guard() { set_invariant_handler(previous); }
+  } guard;
+  ASSERT_TRUE(node_.insert_dynamic(blk(5)));  // live
+  ASSERT_TRUE(node_.insert_dynamic(blk(6)));
+  ASSERT_TRUE(node_.mark_for_deletion(6));  // tombstoned, still on disk
+  // No node ever holds two physical copies of a block.
+  EXPECT_THROW(node_.add_static_block(blk(5)), std::logic_error);
+  EXPECT_THROW(node_.add_static_block(blk(6)), std::logic_error);
+  EXPECT_FALSE(node_.has_static_block(5));
+  EXPECT_FALSE(node_.has_static_block(6));
+#else
+  GTEST_SKIP() << "DARE_INVARIANT is compiled out of this build";
+#endif
 }
 
 TEST_F(DataNodeTest, DynamicInsertVisibleAndCounted) {
