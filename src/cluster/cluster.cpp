@@ -1139,13 +1139,16 @@ void Cluster::launch_reduce(NodeId worker, JobId job) {
 
 void Cluster::fail_node(NodeId worker, faults::FaultKind kind,
                         SimDuration downtime) {
+  // A permanent kill serves no downtime (traced as 0), even though the
+  // churn stream draws one for every failure.
+  const bool permanent = kind == faults::FaultKind::kPermanent;
+  const SimDuration served =
+      permanent ? 0 : std::max<SimDuration>(downtime, from_millis(1));
   const bool started = churn_chain_->begin(
       static_cast<std::size_t>(worker),
-      kind == faults::FaultKind::kPermanent
-          ? faults::EpisodeChain::kNoEnd
-          : std::max<SimDuration>(downtime, from_millis(1)));
+      permanent ? faults::EpisodeChain::kNoEnd : served);
   if (started && tracer_ != nullptr) {
-    tracer_->node_failed(worker, static_cast<int>(kind), to_seconds(downtime));
+    tracer_->node_failed(worker, static_cast<int>(kind), to_seconds(served));
   }
 }
 

@@ -1,9 +1,9 @@
 #include "cluster/experiment.h"
 
 #include <algorithm>
+#include <atomic>
 
-#include "common/thread_annotations.h"
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 
 namespace dare::cluster {
 
@@ -206,38 +206,12 @@ metrics::RunResult run_once(const ClusterOptions& options,
 std::vector<metrics::RunResult> run_parallel(
     const std::vector<std::function<metrics::RunResult()>>& runs,
     std::size_t threads, SweepProgress progress) {
-  // Shared only by the progress path; results flow through per-run futures.
-  struct ProgressState {
-    Mutex mutex;
-    std::size_t completed DARE_GUARDED_BY(mutex) = 0;
-  } state;
-  const std::size_t total = runs.size();
-
-  ThreadPool pool(threads);
-  std::vector<std::future<metrics::RunResult>> futures;
-  futures.reserve(runs.size());
-  for (const auto& run : runs) {
-    if (progress) {
-      futures.push_back(pool.submit([&run, &progress, &state, total] {
-        metrics::RunResult result = run();
-        std::size_t completed = 0;
-        {
-          MutexLock lock(state.mutex);
-          completed = ++state.completed;
-        }
-        // Invoked outside the lock: observer I/O must not serialize the
-        // workers, and an observer exception must not leave the counter
-        // mutex poisoned (see the SweepProgress contract in experiment.h).
-        progress(completed, total);
-        return result;
-      }));
-    } else {
-      futures.push_back(pool.submit(run));
-    }
-  }
-  std::vector<metrics::RunResult> results;
-  results.reserve(runs.size());
-  for (auto& f : futures) results.push_back(f.get());
+  std::vector<metrics::RunResult> results(runs.size());
+  std::atomic<std::size_t> completed{0};
+  parallel_for(runs.size(), threads, [&](std::size_t i) {
+    results[i] = runs[i]();
+    if (progress) progress(++completed, runs.size());
+  });
   return results;
 }
 

@@ -55,22 +55,21 @@ metrics::RunResult run_once(const ClusterOptions& options,
 
 /// Progress observer for run_parallel (and the ExperimentFarm in farm.h):
 /// invoked once per completed run with (completed_so_far, total). The
-/// counter is snapshotted under an internal mutex, but the observer itself
-/// runs *outside* that lock on a pool worker thread, so:
+/// count comes from one atomic increment, and the observer runs on the
+/// worker thread that finished the run, so:
 ///   - calls arrive in completion order, which is nondeterministic, and may
 ///     overlap in time — observers must be thread-safe (a bare stream write
 ///     like the bench progress meter is fine);
 ///   - observers must only report progress, never feed results (result
 ///     order is preserved separately);
-///   - exception contract: a throwing observer does not poison the internal
-///     mutex or stall other workers, but the exception is captured in that
-///     run's future and rethrown by run_parallel when it collects results —
-///     the completed simulation result is lost. Observers should not throw.
+///   - exception contract: a throwing observer stalls no other worker; its
+///     exception counts as that run's failure and is rethrown (lowest index
+///     first) once every run has finished. Observers should not throw.
 using SweepProgress = std::function<void(std::size_t, std::size_t)>;
 
-/// Run a batch of independent simulations on a thread pool, preserving
-/// result order. Each factory must be self-contained (simulations are
-/// deterministic and share no state).
+/// Run a batch of independent simulations through parallel_for
+/// (common/parallel_for.h), preserving result order. Each factory must be
+/// self-contained (simulations are deterministic and share no state).
 std::vector<metrics::RunResult> run_parallel(
     const std::vector<std::function<metrics::RunResult()>>& runs,
     std::size_t threads = 0, SweepProgress progress = {});

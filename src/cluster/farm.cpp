@@ -1,7 +1,7 @@
 #include "cluster/farm.h"
 
+#include <atomic>
 #include <charconv>
-#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -11,8 +11,8 @@
 #include <variant>
 
 #include "common/csv.h"
+#include "common/parallel_for.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 
 namespace dare::cluster {
 
@@ -423,80 +423,20 @@ std::vector<FarmResult> ExperimentFarm::run() {
     }
   }
   if (options_.progress && replayed != 0) options_.progress(replayed, total);
-  if (todo.empty()) return results;
 
-  ThreadPool pool(options_.threads);
-  const std::size_t cap =
-      options_.max_in_flight != 0 ? options_.max_in_flight : 2 * pool.size();
-
-  struct Admission {
-    Mutex mutex;
-    std::condition_variable_any cv;
-    std::size_t in_flight DARE_GUARDED_BY(mutex) = 0;
-    std::size_t finished DARE_GUARDED_BY(mutex) = 0;
-  } adm;
-  {
-    MutexLock lock(adm.mutex);
-    adm.finished = replayed;
-  }
-
-  std::vector<std::future<void>> futures;
-  futures.reserve(todo.size());
-  for (const std::size_t idx : todo) {
-    {
-      // Bounded admission: block until a slot frees up before submitting
-      // the next item, so at most `cap` items are queued or running.
-      UniqueMutexLock lock(adm.mutex);
-      while (adm.in_flight >= cap) adm.cv.wait(lock);
-      ++adm.in_flight;
+  // Replayed items count as finished, so live completions report from
+  // `replayed + 1` up to `total`.
+  std::atomic<std::size_t> finished{replayed};
+  parallel_for(todo.size(), options_.threads, [&](std::size_t t) {
+    FarmResult& result = results[todo[t]];
+    const metrics::RunResult run = run_farm_item(items_[result.index]);
+    result.fingerprint = metrics::fingerprint(run);
+    result.row = make_farm_row(run);
+    if (!journal.path.empty()) {
+      journal.append({result.key, result.fingerprint, result.row});
     }
-    futures.push_back(
-        pool.submit([this, idx, total, &results, &adm, &journal] {
-          try {
-            const metrics::RunResult run = run_farm_item(items_[idx]);
-            FarmResult result;
-            result.index = idx;
-            result.key = keys_[idx];
-            result.fingerprint = metrics::fingerprint(run);
-            result.row = make_farm_row(run);
-            if (!journal.path.empty()) {
-              journal.append({result.key, result.fingerprint, result.row});
-            }
-            // Distinct pre-sized slot per item: no lock needed, and the
-            // futures' get() below synchronizes before results are read.
-            results[idx] = std::move(result);
-          } catch (...) {
-            {
-              MutexLock lock(adm.mutex);
-              --adm.in_flight;
-              ++adm.finished;
-            }
-            adm.cv.notify_all();
-            throw;
-          }
-          std::size_t finished_now = 0;
-          {
-            MutexLock lock(adm.mutex);
-            --adm.in_flight;
-            finished_now = ++adm.finished;
-          }
-          adm.cv.notify_all();
-          // Outside the lock; see the SweepProgress contract.
-          if (options_.progress) options_.progress(finished_now, total);
-        }));
-  }
-
-  // Wait for everything, then rethrow the first failure in grid order —
-  // deterministic, like ThreadPool::parallel_for.
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+    if (options_.progress) options_.progress(++finished, total);
+  });
   return results;
 }
 

@@ -1,7 +1,7 @@
 // Resumable experiment farm: expands a declarative parameter grid into
 // deterministic, keyed work items, runs them as shared-nothing simulations
-// on the common thread pool with bounded in-flight admission, journals
-// every completion durably, and merges results in grid order.
+// through parallel_for (at most `threads` in flight), journals every
+// completion durably, and merges results in grid order.
 //
 // The design follows the SLASH2 update scheduler (doc/upsch.xdc): work is
 // keyed per item, completed items are persisted immediately so a reboot
@@ -102,12 +102,10 @@ std::vector<JournalEntry> read_journal(const std::string& path);
 class ExperimentFarm {
  public:
   struct Options {
-    /// Worker threads (0 -> hardware concurrency, min 1).
+    /// Worker threads (0 -> hardware concurrency, min 1). A worker claims
+    /// the next item only when it is free, so at most this many items are
+    /// in flight: a huge grid is never enqueued all at once, upsch-style.
     std::size_t threads = 0;
-    /// Bounded admission: at most this many items submitted but not yet
-    /// completed (0 -> 2x the pool size). Keeps a huge grid from being
-    /// enqueued all at once, upsch-style.
-    std::size_t max_in_flight = 0;
     /// Completion journal. Empty disables journaling and resume. Appends
     /// are write-then-rename: the whole journal is rewritten to
     /// `<path>.tmp` and atomically renamed over `<path>`, so a kill at any
@@ -131,8 +129,8 @@ class ExperimentFarm {
 
   /// Run every item not already in the journal; replay the rest. Results
   /// are indexed in grid order regardless of completion order. The first
-  /// exception thrown by an item (in grid order) is rethrown after all
-  /// in-flight items finish.
+  /// exception thrown by an item (in grid order) is rethrown after every
+  /// other item has finished (and been journaled).
   std::vector<FarmResult> run();
 
   /// Merged outputs, grid order. CSV columns: key, farm_columns...,

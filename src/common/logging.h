@@ -3,7 +3,7 @@
 // The simulator is quiet by default (benches print only their tables); tests
 // and debugging can raise verbosity. The sink is a std::function so tests can
 // capture output. Thread-safe: a mutex serializes sink calls, because
-// parameter sweeps run simulations on a thread pool.
+// parameter sweeps run simulations on parallel threads (parallel_for).
 #pragma once
 
 #include <functional>

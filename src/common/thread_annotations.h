@@ -1,6 +1,6 @@
 // Clang thread-safety annotations and the annotated mutex wrappers the
-// repo's mutex-protected structures use (ThreadPool, EmpiricalCdf's
-// lazy-sort mutex, the logging sink, the run_parallel sweep harness).
+// repo's mutex-protected structures use (EmpiricalCdf's lazy-sort mutex,
+// the logging sink, the experiment farm's journal).
 //
 // The macros expand to clang's capability attributes so that building with
 //   -Wthread-safety -Werror=thread-safety   (the `analyze` CMake preset)
@@ -16,8 +16,6 @@
 //
 //   dare::Mutex            an annotated DARE_CAPABILITY("mutex")
 //   dare::MutexLock        std::lock_guard equivalent (scoped capability)
-//   dare::UniqueMutexLock  unlockable guard usable with
-//                          std::condition_variable_any via native()
 //   dare::DualMutexLock    deadlock-free two-mutex guard (std::lock order)
 #pragma once
 
@@ -106,36 +104,6 @@ class DARE_SCOPED_CAPABILITY MutexLock {
 
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
-
- private:
-  Mutex& mutex_;
-};
-
-/// Scoped lock that additionally satisfies BasicLockable, so a
-/// std::condition_variable_any can wait on it directly:
-///
-///   UniqueMutexLock lock(mutex_);
-///   while (!ready_) cv_.wait(lock);
-///
-/// The capability is treated as held for the guard's whole lifetime, which
-/// matches what callers may rely on: a wait releases the mutex only while
-/// blocked and reacquires it before returning.
-class DARE_SCOPED_CAPABILITY UniqueMutexLock {
- public:
-  explicit UniqueMutexLock(Mutex& mutex) DARE_ACQUIRE(mutex) : mutex_(mutex) {
-    mutex_.lock();
-  }
-  ~UniqueMutexLock() DARE_RELEASE() { mutex_.unlock(); }
-
-  UniqueMutexLock(const UniqueMutexLock&) = delete;
-  UniqueMutexLock& operator=(const UniqueMutexLock&) = delete;
-
-  /// BasicLockable surface for condition_variable_any::wait only: the wait
-  /// transiently unlocks and relocks while the analysis keeps treating the
-  /// capability as held (true on both sides of the wait). Analysis is off
-  /// here because a bare lock() would otherwise look like a leaked capability.
-  void lock() DARE_NO_THREAD_SAFETY_ANALYSIS { mutex_.lock(); }
-  void unlock() DARE_NO_THREAD_SAFETY_ANALYSIS { mutex_.unlock(); }  // ditto
 
  private:
   Mutex& mutex_;

@@ -14,7 +14,7 @@
 // not just documented — in invariant-enabled builds: the first record()
 // pins the owning thread and any record() from another thread aborts with
 // context. clear() unpins, so drivers may reuse a collector across runs
-// that land on different pool workers.
+// that land on different sweep threads.
 #pragma once
 
 #include <cstddef>

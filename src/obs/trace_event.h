@@ -42,7 +42,8 @@ enum class EventKind : std::uint8_t {
   kDiskReclaim,        ///< lazy tombstone sweep; detail = replicas reclaimed
   kHeartbeat,          ///< DataNode heartbeat processed by the NameNode
   kNodeFailed,         ///< physical failure; detail = FaultKind,
-                       ///< value = downtime (s, 0 = permanent)
+                       ///< value = downtime served (s, 0 = permanent,
+                       ///< at least 0.001 for a transient kill)
   kNodeDeclaredDead,   ///< NameNode missed-heartbeat declaration
   kNodeRejoined,       ///< detail = 1 full re-registration, 0 blip
   kBlockRepaired,      ///< task = block re-replicated onto `node`

@@ -132,10 +132,9 @@ TEST(RunParallel, ProgressObserverReportsEveryCompletion) {
       return r;
     });
   }
-  // The observer's counter snapshot is taken under run_parallel's mutex,
-  // but the observer itself runs outside it and may be invoked
-  // concurrently (the SweepProgress contract) — so the test provides its
-  // own lock.
+  // The observer's count comes from one atomic increment, but the
+  // observer itself may be invoked concurrently (the SweepProgress
+  // contract) — so the test provides its own lock.
   std::mutex mutex;
   std::vector<std::size_t> seen;
   std::size_t reported_total = 0;
@@ -164,9 +163,9 @@ TEST(RunParallel, ThrowingProgressObserverPropagates) {
   for (int i = 0; i < 4; ++i) {
     runs.push_back([] { return metrics::RunResult{}; });
   }
-  // The documented exception contract: a throwing observer is captured in
-  // that run's future and rethrown by run_parallel — no deadlock, no
-  // poisoned mutex, every worker still drains.
+  // The documented exception contract: a throwing observer counts as that
+  // run's failure and is rethrown by run_parallel once every run has
+  // finished — no deadlock, every worker still drains.
   EXPECT_THROW(run_parallel(runs, 2,
                             [](std::size_t, std::size_t) {
                               throw std::runtime_error("observer failure");

@@ -1,12 +1,15 @@
 // Tests for the resumable experiment farm: grid expansion order, canonical
 // item keys, journal round-trip/torn-tail handling, parallel-vs-serial
-// determinism, and byte-identical resume of an interrupted sweep.
+// determinism, byte-identical resume of an interrupted sweep, a failing
+// item, and progress reports on resume.
 #include "cluster/farm.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -192,7 +195,6 @@ TEST(ExperimentFarm, ParallelMatchesSerialFingerprints) {
 
   ExperimentFarm::Options serial_options;
   serial_options.threads = 1;
-  serial_options.max_in_flight = 1;
   ExperimentFarm serial(items, serial_options);
   const auto serial_results = serial.run();
 
@@ -271,6 +273,90 @@ TEST(ExperimentFarm, ResumeFromTruncatedJournalIsByteIdentical) {
   EXPECT_EQ(full_csv.str(), resumed_csv.str());
   EXPECT_EQ(full_json.str(), resumed_json.str());
   std::remove(path.c_str());
+}
+
+TEST(ExperimentFarm, FailingItemRethrowsAfterEveryOtherItemIsJournaled) {
+  const std::string path = temp_path("dare_farm_failing.jsonl");
+  std::remove(path.c_str());
+  auto items = expand_grid(small_grid());
+  ASSERT_EQ(items.size(), 4u);
+  constexpr std::size_t kFailing = 1;
+  items[kFailing].set("workload", "nope");
+
+  ExperimentFarm::Options options;
+  options.threads = 2;
+  options.journal_path = path;
+  ExperimentFarm farm(items, options);
+  try {
+    farm.run();
+    FAIL() << "the unknown workload should have thrown";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "run_farm_item: unknown workload: nope");
+  }
+  // Every other item finished and was journaled before run() rethrew.
+  const auto journaled = read_journal(path);
+  ASSERT_EQ(journaled.size(), items.size() - 1);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const bool in_journal =
+        std::any_of(journaled.begin(), journaled.end(),
+                    [&](const JournalEntry& e) { return e.key == farm.keys()[i]; });
+    EXPECT_EQ(in_journal, i != kFailing) << "item " << i;
+  }
+
+  // A resume replays the three completed items and runs only the failing
+  // one: one progress report (the replay), the same error, and a journal
+  // that is unchanged.
+  std::vector<std::size_t> reports;
+  options.progress = [&reports](std::size_t done, std::size_t) {
+    reports.push_back(done);
+  };
+  ExperimentFarm resumed(items, options);
+  EXPECT_THROW(resumed.run(), std::invalid_argument);
+  EXPECT_EQ(reports, std::vector<std::size_t>{items.size() - 1});
+  EXPECT_EQ(read_journal(path).size(), items.size() - 1);
+  std::remove(path.c_str());
+}
+
+/// Runs `items` with a journal already holding the first `replayed` of
+/// them and returns every progress report, in the order received.
+std::vector<std::size_t> resume_progress(const std::vector<Config>& items,
+                                         std::size_t replayed,
+                                         std::size_t threads) {
+  const std::string path = temp_path("dare_farm_progress.jsonl");
+  std::remove(path.c_str());
+  ExperimentFarm::Options options;
+  options.threads = threads;
+  options.journal_path = path;
+  ExperimentFarm(std::vector<Config>(items.begin(),
+                                     items.begin() +
+                                         static_cast<std::ptrdiff_t>(replayed)),
+                 options)
+      .run();
+
+  std::mutex mutex;
+  std::vector<std::size_t> reports;
+  options.progress = [&](std::size_t done, std::size_t total) {
+    EXPECT_EQ(total, items.size());
+    const std::lock_guard<std::mutex> lock(mutex);
+    reports.push_back(done);
+  };
+  ExperimentFarm(items, options).run();
+  std::remove(path.c_str());
+  return reports;
+}
+
+TEST(ExperimentFarm, ResumeProgressStartsAtReplayedAndEndsAtTotal) {
+  const auto items = expand_grid(small_grid());
+  ASSERT_EQ(items.size(), 4u);
+  // One thread: reports arrive in order, replay first and total last.
+  EXPECT_EQ(resume_progress(items, 2, 1), (std::vector<std::size_t>{2, 3, 4}));
+  // Several threads: the replay still comes first, then each completion
+  // count is reported exactly once, in completion order.
+  auto reports = resume_progress(items, 1, 3);
+  ASSERT_EQ(reports.size(), 4u);
+  EXPECT_EQ(reports.front(), 1u);
+  std::sort(reports.begin(), reports.end());
+  EXPECT_EQ(reports, (std::vector<std::size_t>{1, 2, 3, 4}));
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/experiment.h"
@@ -13,6 +15,7 @@
 #include "core/greedy_lru.h"
 #include "core/lfu.h"
 #include "net/profile.h"
+#include "obs/trace_collector.h"
 #include "storage/datanode.h"
 
 namespace dare::cluster {
@@ -154,6 +157,58 @@ TEST(NodeRejoin, ScriptedKillAfterTheRunIsAbsorbed) {
   EXPECT_EQ(result.node_failures, 1u);
   EXPECT_EQ(result.permanent_failures, 1u);
   EXPECT_NO_THROW(cluster.validate());
+}
+
+/// The (node, value) of every kNodeFailed event in a traced run.
+std::vector<std::pair<NodeId, double>> traced_kills(ClusterOptions opts) {
+  obs::TraceCollector tracer;
+  opts.tracer = &tracer;
+  Cluster cluster(opts);
+  cluster.run(standard_wl1(10, 60));
+  std::vector<std::pair<NodeId, double>> kills;
+  for (const auto& event : tracer.events()) {
+    if (event.kind == obs::EventKind::kNodeFailed) {
+      kills.emplace_back(event.node, event.value);
+    }
+  }
+  return kills;
+}
+
+TEST(NodeRejoin, TracedScriptedKillRecordsTheDowntimeItServes) {
+  // kNodeFailed's value is the downtime the churn chain serves: 0 for a
+  // permanent kill (its scripted downtime is ignored), and max(downtime,
+  // 1 ms) for a transient one.
+  auto opts = base_options();
+  opts.failures.push_back({from_seconds(10.0), NodeId{2},
+                           faults::FaultKind::kPermanent,
+                           from_seconds(25.0)});
+  opts.failures.push_back({from_seconds(12.0), NodeId{4},
+                           faults::FaultKind::kTransient, 0});
+  opts.failures.push_back({from_seconds(14.0), NodeId{5},
+                           faults::FaultKind::kTransient,
+                           from_seconds(20.0)});
+  const auto kills = traced_kills(opts);
+  ASSERT_EQ(kills.size(), 3u);
+  EXPECT_EQ(kills[0].first, NodeId{2});
+  EXPECT_EQ(kills[0].second, 0.0);
+  EXPECT_EQ(kills[1].first, NodeId{4});
+  EXPECT_DOUBLE_EQ(kills[1].second, 0.001);
+  EXPECT_EQ(kills[2].first, NodeId{5});
+  EXPECT_DOUBLE_EQ(kills[2].second, 20.0);
+}
+
+TEST(NodeRejoin, TracedStochasticPermanentKillRecordsZeroDowntime) {
+  // The churn stream draws a downtime for every failure, permanent or not;
+  // a permanent kill must still be traced with 0.
+  auto opts = base_options();
+  opts.faults.enabled = true;
+  opts.faults.mtbf_s = 60.0;
+  opts.faults.mttr_s = 20.0;
+  opts.faults.permanent_fraction = 1.0;
+  opts.faults.min_live_workers = 4;
+  const auto kills = traced_kills(opts);
+  ASSERT_FALSE(kills.empty());
+  for (const auto& kill : kills) EXPECT_EQ(kill.second, 0.0);
 }
 
 TEST(NodeRejoin, RejoiningPoliciesRebuildWithoutBudgetViolations) {

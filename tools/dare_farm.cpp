@@ -2,7 +2,7 @@
 //
 // Declare a grid as `key=value[,value...]` axes (cluster override keys plus
 // workload/jobs/wl_seed), run every combination as shared-nothing workers
-// on the thread pool, journal each completion durably, and write merged
+// through parallel_for, journal each completion durably, and write merged
 // CSV + JSON in grid order. A killed sweep resumes from the journal and
 // produces byte-identical merged output to an uninterrupted run.
 //
