@@ -714,21 +714,24 @@ SimDuration Cluster::start_map_attempt(NodeId worker, JobId job,
     state.block = task.block;
     state.original_locality = locality;
   }
-  const NodeId src = plan.src;
-  const bool remote_flow = plan.remote_flow;
-  const double duration_s = to_seconds(duration);
-  MapAttempt& attempt = state.attempts.emplace_back();
+  arm_attempt(state.attempts.emplace_back(), kind, worker, job, map_index,
+              duration, plan.remote_flow, plan.src);
+  return duration;
+}
+
+void Cluster::arm_attempt(TaskAttempt& attempt, AttemptKind kind,
+                          NodeId worker, JobId job, std::size_t task,
+                          SimDuration duration, bool holds_flow,
+                          NodeId flow_src) {
+  attempt.job = job;
   attempt.node = worker;
   attempt.started = sim_.now();
   attempt.kind = kind;
-  attempt.holds_flow = remote_flow;
-  attempt.flow_src = src;
-  attempt.completion = sim_.after(
-      duration, [this, job, map_index, worker, remote_flow, src, duration_s] {
-        on_map_attempt_finished(job, map_index, worker, remote_flow, src,
-                                duration_s);
-      });
-  return duration;
+  attempt.holds_flow = holds_flow;
+  attempt.flow_src = flow_src;
+  attempt.completion = sim_.after(duration, [this, kind, job, task, worker] {
+    on_attempt_finished(kind, job, task, worker);
+  });
 }
 
 NodeId Cluster::pick_backup_node(const MapTaskState& state) const {
@@ -754,8 +757,8 @@ sched::Locality Cluster::locality_of(NodeId worker, BlockId block) const {
                                                 : sched::Locality::kOffRack;
 }
 
-bool Cluster::drop_map_attempt(MapAttempt& attempt, JobId job,
-                               std::size_t map_index) {
+bool Cluster::drop_attempt(TaskAttempt& attempt, std::size_t task,
+                           bool free_slot) {
   // A completion that already fired left a zombie on a lost node; its flow
   // was released at fire time (holds_flow is false), but its trace slice
   // is still open and closes here like any other.
@@ -763,13 +766,26 @@ bool Cluster::drop_map_attempt(MapAttempt& attempt, JobId job,
   if (pending && attempt.holds_flow) {
     network_->flow_finished(attempt.flow_src, attempt.node);
   }
+  const bool reduce = attempt.kind == AttemptKind::kReduce;
   if (attempt.kind == AttemptKind::kClone) {
     ++result_.clones_killed;
     clone_wasted_work_ += sim_.now() - attempt.started;
-    if (tracer_ != nullptr) tracer_->clone_killed(attempt.node, job, map_index);
-    retire_clone(job);
+    if (tracer_ != nullptr) {
+      tracer_->clone_killed(attempt.node, attempt.job, task);
+    }
+    retire_clone(attempt.job);
+  } else if (tracer_ != nullptr && reduce) {
+    tracer_->reduce_requeued(attempt.node, attempt.job,
+                             static_cast<std::int64_t>(task));
   } else if (tracer_ != nullptr) {
-    tracer_->map_killed(attempt.node, job, map_index);
+    tracer_->map_killed(attempt.node, attempt.job, task);
+  }
+  const auto node = static_cast<std::size_t>(attempt.node);
+  if (!pending || !free_slot || node_dead(node)) return pending;
+  if (reduce) {
+    slots_.give_reduce(node);
+  } else {
+    slots_.give_map(node);
   }
   return pending;
 }
@@ -873,24 +889,36 @@ void Cluster::retire_clone(JobId job) {
   jobs_.finish_clone(job);
 }
 
-void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
-                                      NodeId worker, bool remote_flow,
-                                      NodeId src, double duration_s) {
-  if (remote_flow) network_->flow_finished(src, worker);
+void Cluster::on_attempt_finished(AttemptKind kind, JobId job,
+                                  std::size_t task, NodeId worker) {
   const auto wi = static_cast<std::size_t>(worker);
-  const auto key = task_key(job, map_index);
-  const auto state_it = running_maps_.find(key);
-  if (state_it == running_maps_.end()) {
-    throw std::logic_error("Cluster: attempt completion for unknown task");
+  const bool reduce = kind == AttemptKind::kReduce;
+  // Locate this attempt: a reduce by its attempt id, a map among its
+  // task's attempts by node.
+  auto reduce_it = running_reduces_.end();
+  auto state_it = running_maps_.end();
+  TaskAttempt* found = nullptr;
+  if (reduce) {
+    reduce_it = running_reduces_.find(task);
+    if (reduce_it != running_reduces_.end()) found = &reduce_it->second;
+  } else {
+    state_it = running_maps_.find(task_key(job, task));
+    if (state_it != running_maps_.end()) {
+      for (auto& a : state_it->second.attempts) {
+        if (a.node == worker) {
+          found = &a;
+          break;
+        }
+      }
+    }
   }
-  MapTaskState& state = state_it->second;
-
-  // Locate this attempt.
-  const auto att_it =
-      std::find_if(state.attempts.begin(), state.attempts.end(),
-                   [worker](const MapAttempt& a) { return a.node == worker; });
-  if (att_it == state.attempts.end()) {
-    throw std::logic_error("Cluster: attempt not registered");
+  if (found == nullptr) {
+    throw std::logic_error("Cluster: completion of an unregistered attempt");
+  }
+  TaskAttempt& attempt = *found;
+  if (attempt.holds_flow) {
+    network_->flow_finished(attempt.flow_src, worker);
+    attempt.holds_flow = false;
   }
 
   if (node_dead(wi) || node_partitioned(wi)) {
@@ -899,16 +927,21 @@ void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
     // attempt stays registered as a zombie until the name node detects the
     // loss via missed heartbeats and cleanup_node_attempts() requeues the
     // task (or a blip heal sweeps it). Only the network flow is torn down
-    // (done above) — mark it released so the sweep won't double release it.
-    att_it->holds_flow = false;
+    // (done above, so the sweep won't double release it).
     return;
   }
 
-  const AttemptKind kind = att_it->kind;
-  const bool was_speculative = kind == AttemptKind::kSpeculative;
-  const bool was_clone = kind == AttemptKind::kClone;
-  state.attempts.erase(att_it);
-  slots_.give_map(wi);
+  const bool was_speculative = attempt.kind == AttemptKind::kSpeculative;
+  const bool was_clone = attempt.kind == AttemptKind::kClone;
+  const double duration_s = to_seconds(sim_.now() - attempt.started);
+  if (reduce) {
+    running_reduces_.erase(reduce_it);
+    slots_.give_reduce(wi);
+  } else {
+    auto& attempts = state_it->second.attempts;
+    attempts.erase(attempts.begin() + (found - attempts.data()));
+    slots_.give_map(wi);
+  }
   // A clone's budget is returned the moment it reports back, win or fail —
   // the erase above is the one place every self-finishing clone passes.
   if (was_clone) retire_clone(job);
@@ -919,66 +952,72 @@ void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
   if (fault_process_ && fault_process_->sample_task_failure()) {
     ++result_.task_attempt_failures;
     if (tracer_ != nullptr) {
-      tracer_->task_attempt_fault(worker, job,
-                                  static_cast<std::int64_t>(map_index));
+      tracer_->task_attempt_fault(worker, job, static_cast<std::int64_t>(task),
+                                  reduce);
     }
     if (was_clone) {
       // For the wins + killed == launched ledger a faulted clone counts as
-      // killed; its whole runtime was wasted.
+      // killed; its whole runtime was wasted. The fault closes its slice.
       ++result_.clones_killed;
       clone_wasted_work_ += from_seconds(duration_s);
-      if (tracer_ != nullptr) tracer_->clone_killed(worker, job, map_index);
     }
     note_node_task_failure(worker);
-    const auto failures = ++map_attempt_failures_[key];
-    if (failures >= options_.max_task_attempts) {
+    // A map task has its own retry budget; a job's reduces share one, keyed
+    // one past its last map index.
+    const std::size_t budget = reduce ? jobs_.job(job).total_maps() : task;
+    if (++attempt_failures_[task_key(job, budget)] >=
+        options_.max_task_attempts) {
       fail_job(job);
       return;
     }
-    if (state.attempts.empty()) {
-      // No speculative sibling still running: back to the pending queue.
-      if (tracer_ != nullptr) tracer_->map_requeued(worker, job, map_index);
-      jobs_.requeue_running_map(job, map_index, state.original_locality);
-      ++result_.task_reexecutions;
-      running_maps_.erase(state_it);
-    }
+    requeue_task(kind, worker, job, task);
     try_assign_all();
     return;
   }
 
   // This attempt wins the task.
-  if (was_speculative) ++result_.speculative_wins;
-  if (was_clone) ++result_.clone_wins;
-  if (tracer_ != nullptr) {
-    tracer_->map_finished(worker, job, map_index, duration_s, was_speculative);
+  sched::TransitionResult done;
+  if (reduce) {
+    if (tracer_ != nullptr) {
+      tracer_->reduce_finished(worker, job, static_cast<std::int64_t>(task),
+                               duration_s);
+    }
+    done = jobs_.complete_reduce(job, sim_.now());
+  } else {
+    if (was_speculative) ++result_.speculative_wins;
+    if (was_clone) ++result_.clone_wins;
+    if (tracer_ != nullptr) {
+      tracer_->map_finished(worker, job, task, duration_s, was_speculative);
+    }
+    // Feed the straggler detector before folding this completion into the
+    // stats it normalizes against.
+    note_attempt_progress(worker, duration_s);
+    // Speculation-estimator stats fold in before the completion transition:
+    // if this map finishes the job, its runtime (and the per-job stats
+    // entry) is released inside complete_map.
+    {
+      auto& [sum_s, count] = job_map_stats_[job];
+      sum_s += duration_s;
+      ++count;
+    }
+    global_map_stats_.first += duration_s;
+    ++global_map_stats_.second;
+    done = jobs_.complete_map(job, sim_.now());
   }
-  // Feed the straggler detector before folding this completion into the
-  // stats it normalizes against.
-  note_attempt_progress(worker, duration_s);
-  // Speculation-estimator stats fold in before the completion transition:
-  // if this map finishes the job, its runtime (and the per-job stats entry)
-  // is released inside complete_map.
-  {
-    auto& [sum_s, count] = job_map_stats_[job];
-    sum_s += duration_s;
-    ++count;
-  }
-  global_map_stats_.first += duration_s;
-  ++global_map_stats_.second;
-  const auto done = jobs_.complete_map(job, sim_.now());
   if (tracer_ != nullptr && done.job_done) {
     tracer_->job_finished(job, to_seconds(sim_.now() - done.arrival));
   }
-
-  // Kill the losing attempts and free their slots now (Hadoop sends a kill
-  // to the slower attempt). A zombie on a lost node holds no slot.
-  for (auto& other : state.attempts) {
-    if (!drop_map_attempt(other, job, map_index)) continue;
-    if (other.kind != AttemptKind::kClone) ++result_.speculative_killed;
-    const auto node = static_cast<std::size_t>(other.node);
-    if (!node_dead(node)) slots_.give_map(node);
+  if (!reduce) {
+    // Kill the losing attempts and free their slots now (Hadoop sends a
+    // kill to the slower attempt). A zombie on a lost node holds no slot.
+    for (auto& other : state_it->second.attempts) {
+      const bool pending = drop_attempt(other, task, /*free_slot=*/true);
+      if (pending && other.kind != AttemptKind::kClone) {
+        ++result_.speculative_killed;
+      }
+    }
+    running_maps_.erase(state_it);
   }
-  running_maps_.erase(state_it);
 
   if (run_finished()) cancel_pending_churn();
 
@@ -988,6 +1027,20 @@ void Cluster::on_map_attempt_finished(JobId job, std::size_t map_index,
   } else {
     try_assign_node(worker);
   }
+}
+
+void Cluster::requeue_task(AttemptKind kind, NodeId worker, JobId job,
+                           std::size_t task) {
+  if (kind == AttemptKind::kReduce) {
+    jobs_.requeue_running_reduce(job);
+  } else {
+    const auto it = running_maps_.find(task_key(job, task));
+    if (!it->second.attempts.empty()) return;  // a sibling attempt runs on
+    if (tracer_ != nullptr) tracer_->map_requeued(worker, job, task);
+    jobs_.requeue_running_map(job, task, it->second.original_locality);
+    running_maps_.erase(it);
+  }
+  ++result_.task_reexecutions;
 }
 
 bool Cluster::run_finished() const {
@@ -1073,68 +1126,13 @@ void Cluster::launch_reduce(NodeId worker, JobId job) {
     }
   }
 
-  const std::uint64_t attempt_id = next_reduce_attempt_++;
+  const std::size_t attempt_id = next_reduce_attempt_++;
   if (tracer_ != nullptr) {
     tracer_->reduce_launched(worker, job,
                              static_cast<std::int64_t>(attempt_id));
   }
-  const double duration_s = to_seconds(duration);
-  ReduceAttempt attempt;
-  attempt.job = job;
-  attempt.node = worker;
-  attempt.holds_flow = flows;
-  attempt.flow_src = src;
-  attempt.completion = sim_.after(
-      duration, [this, attempt_id, job, worker, src, flows, duration_s] {
-        if (flows) network_->flow_finished(src, worker);
-        const auto it = running_reduces_.find(attempt_id);
-        if (it == running_reduces_.end()) {
-          throw std::logic_error("Cluster: unknown reduce attempt completed");
-        }
-        const auto wi = static_cast<std::size_t>(worker);
-        if (node_dead(wi) || node_partitioned(wi)) {
-          // Zombie completion on a dead or partitioned tracker: nobody
-          // hears about it. The attempt stays registered until heartbeat
-          // detection (or a blip heal) sweeps the node; only its flow
-          // (already released) is gone.
-          it->second.holds_flow = false;
-          return;
-        }
-        running_reduces_.erase(it);
-        slots_.give_reduce(wi);
-        if (fault_process_ && fault_process_->sample_task_failure()) {
-          ++result_.task_attempt_failures;
-          if (tracer_ != nullptr) {
-            tracer_->task_attempt_fault(
-                worker, job, static_cast<std::int64_t>(attempt_id));
-          }
-          note_node_task_failure(worker);
-          const auto failures = ++reduce_attempt_failures_[job];
-          if (failures >= options_.max_task_attempts) {
-            fail_job(job);
-            return;
-          }
-          if (tracer_ != nullptr) {
-            tracer_->reduce_requeued(worker, job,
-                                     static_cast<std::int64_t>(attempt_id));
-          }
-          jobs_.requeue_running_reduce(job);
-          ++result_.task_reexecutions;
-          try_assign_all();
-          return;
-        }
-        if (tracer_ != nullptr) {
-          tracer_->reduce_finished(
-              worker, job, static_cast<std::int64_t>(attempt_id), duration_s);
-        }
-        const auto done = jobs_.complete_reduce(job, sim_.now());
-        if (tracer_ != nullptr && done.job_done) {
-          tracer_->job_finished(job, to_seconds(sim_.now() - done.arrival));
-        }
-        if (run_finished()) cancel_pending_churn();
-        try_assign_node(worker);
-      });
-  running_reduces_.emplace(attempt_id, std::move(attempt));
+  arm_attempt(running_reduces_[attempt_id], AttemptKind::kReduce, worker, job,
+              attempt_id, duration, flows, src);
 }
 
 void Cluster::fail_node(NodeId worker, faults::FaultKind kind,
@@ -1197,6 +1195,12 @@ void Cluster::declare_node_dead(NodeId worker) {
 }
 
 void Cluster::cleanup_node_attempts(NodeId worker) {
+  kill_attempts([worker](const TaskAttempt& a) { return a.node == worker; },
+                /*lost_node=*/true);
+}
+
+template <typename Match>
+void Cluster::kill_attempts(const Match& match, bool lost_node) {
   // Deterministic sweep order: running_maps_ is an unordered_map, so pull
   // the keys out and sort before touching job state.
   std::vector<std::uint64_t> keys;
@@ -1206,36 +1210,34 @@ void Cluster::cleanup_node_attempts(NodeId worker) {
   std::sort(keys.begin(), keys.end());
   for (const std::uint64_t key : keys) {
     const auto it = running_maps_.find(key);
-    MapTaskState& state = it->second;
-    const auto att_it = std::find_if(
-        state.attempts.begin(), state.attempts.end(),
-        [worker](const MapAttempt& a) { return a.node == worker; });
-    if (att_it == state.attempts.end()) continue;
+    auto& attempts = it->second.attempts;
     const auto [job, map_index] = task_of(key);
-    // The node's slots left the pool with it: none is returned here.
-    drop_map_attempt(*att_it, job, map_index);
-    state.attempts.erase(att_it);
-    if (state.attempts.empty()) {
-      if (tracer_ != nullptr) tracer_->map_requeued(worker, job, map_index);
-      jobs_.requeue_running_map(job, map_index, state.original_locality);
-      ++result_.task_reexecutions;
-      running_maps_.erase(it);
+    NodeId lost = kInvalidNode;
+    for (auto a = attempts.begin(); a != attempts.end();) {
+      if (!match(*a)) {
+        ++a;
+        continue;
+      }
+      lost = a->node;
+      drop_attempt(*a, map_index, /*free_slot=*/!lost_node);
+      a = attempts.erase(a);
+    }
+    if (!lost_node) {
+      if (attempts.empty()) running_maps_.erase(it);
+    } else if (lost != kInvalidNode) {
+      requeue_task(AttemptKind::kPrimary, lost, job, map_index);
     }
   }
   for (auto it = running_reduces_.begin(); it != running_reduces_.end();) {
-    if (it->second.node != worker) {
+    if (!match(it->second)) {
       ++it;
       continue;
     }
-    if (it->second.completion.cancel() && it->second.holds_flow) {
-      network_->flow_finished(it->second.flow_src, worker);
+    drop_attempt(it->second, it->first, /*free_slot=*/!lost_node);
+    if (lost_node) {
+      requeue_task(AttemptKind::kReduce, it->second.node, it->second.job,
+                   it->first);
     }
-    if (tracer_ != nullptr) {
-      tracer_->reduce_requeued(worker, it->second.job,
-                               static_cast<std::int64_t>(it->first));
-    }
-    jobs_.requeue_running_reduce(it->second.job);
-    ++result_.task_reexecutions;
     it = running_reduces_.erase(it);
   }
 }
@@ -1452,43 +1454,8 @@ void Cluster::build_episode_chains() {
 }
 
 void Cluster::fail_job(JobId job) {
-  // Cancel the job's in-flight map attempts (sorted key sweep for
-  // determinism — running_maps_ is unordered).
-  std::vector<std::uint64_t> keys;
-  // dare-lint: allow(unordered-iteration) -- keys are sorted before use.
-  for (const auto& [key, state] : running_maps_) {
-    if (task_of(key).first == job) keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  for (const std::uint64_t key : keys) {
-    const auto it = running_maps_.find(key);
-    const std::size_t map_index = task_of(key).second;
-    for (auto& attempt : it->second.attempts) {
-      if (!drop_map_attempt(attempt, job, map_index)) continue;
-      const auto node = static_cast<std::size_t>(attempt.node);
-      if (!node_dead(node)) slots_.give_map(node);
-    }
-    running_maps_.erase(it);
-  }
-  for (auto it = running_reduces_.begin(); it != running_reduces_.end();) {
-    if (it->second.job != job) {
-      ++it;
-      continue;
-    }
-    if (it->second.completion.cancel()) {
-      if (tracer_ != nullptr) {
-        tracer_->reduce_requeued(it->second.node, job,
-                                 static_cast<std::int64_t>(it->first));
-      }
-      if (it->second.holds_flow) {
-        network_->flow_finished(it->second.flow_src, it->second.node);
-      }
-      if (!node_dead(static_cast<std::size_t>(it->second.node))) {
-        slots_.give_reduce(static_cast<std::size_t>(it->second.node));
-      }
-    }
-    it = running_reduces_.erase(it);
-  }
+  kill_attempts([job](const TaskAttempt& a) { return a.job == job; },
+                /*lost_node=*/false);
   jobs_.fail_job(job, sim_.now());
   ++result_.failed_jobs;
   if (tracer_ != nullptr) tracer_->job_failed(job);
@@ -1548,11 +1515,7 @@ void Cluster::queue_repair(BlockId block) {
   if (repairs_.enqueue(block, classify_repair(block), sim_.now())) {
     ++result_.repairs_enqueued;
   }
-  if (!repair_tick_scheduled_) {
-    repair_tick_scheduled_ = true;
-    sim_.after(options_.rereplication_interval,
-               [this] { rereplication_tick(); });
-  }
+  book_repair_tick();
 }
 
 void Cluster::on_replica_delta(BlockId block, NodeId node, bool added) {
@@ -1655,11 +1618,7 @@ void Cluster::retry_repair(RepairScheduler::Entry entry) {
     tracer_->repair_retried(entry.block, entry.retries);
   }
   repairs_.reinsert(entry);
-  if (!repair_tick_scheduled_) {
-    repair_tick_scheduled_ = true;
-    sim_.after(options_.rereplication_interval,
-               [this] { rereplication_tick(); });
-  }
+  book_repair_tick();
 }
 
 void Cluster::abandon_repair(const RepairScheduler::Entry&) {
@@ -1845,10 +1804,17 @@ void Cluster::rereplication_tick() {
   }
   for (const auto& e : deferred) repairs_.reinsert(e);
   if (!repairs_.empty()) {
-    repair_tick_scheduled_ = true;
-    sim_.after(options_.rereplication_interval,
-               [this] { rereplication_tick(); });
+    // Books even when a retry or re-queue inside this tick already booked
+    // one: two ticks then fire at the same instant, each taking a batch.
+    repair_tick_scheduled_ = false;
+    book_repair_tick();
   }
+}
+
+void Cluster::book_repair_tick() {
+  if (repair_tick_scheduled_) return;
+  repair_tick_scheduled_ = true;
+  sim_.after(options_.rereplication_interval, [this] { rereplication_tick(); });
 }
 
 std::vector<double> Cluster::live_node_popularity() const {
@@ -2246,9 +2212,9 @@ void Cluster::on_job_retired(const sched::JobRuntime& rt) {
 
   // The job's per-task side tables die with it.
   job_map_stats_.erase(rt.spec.id);
-  reduce_attempt_failures_.erase(rt.spec.id);
-  for (std::size_t mi = 0; mi < rt.total_maps(); ++mi) {
-    map_attempt_failures_.erase(task_key(rt.spec.id, mi));
+  // Every map's retry-budget entry, then the reduces' (one past the last).
+  for (std::size_t mi = 0; mi <= rt.total_maps(); ++mi) {
+    attempt_failures_.erase(task_key(rt.spec.id, mi));
   }
 }
 

@@ -129,11 +129,16 @@ class Cluster {
   /// Kill a job whose task exhausted max_task_attempts.
   void fail_job(JobId job);
   void note_node_task_failure(NodeId worker);
-  /// Cancel dangling churn events (stochastic failures, recoveries, the
-  /// detection monitor) once the run is finished, so the event queue drains
-  /// without inflating the makespan.
+  /// Once the run is finished, cancel the fault events (episode onsets and
+  /// ends, the detection monitor, latent corruption) and the gauge sampler.
+  /// Heartbeats, the speculation tick and the Scarlett epoch are not
+  /// cancelled: each fires once more after the last job and stops
+  /// re-arming, so the makespan ends on the heartbeat grid, not at the last
+  /// job's completion.
   void cancel_pending_churn();
   void rereplication_tick();
+  /// Book a rereplication_tick one interval out unless one is booked.
+  void book_repair_tick();
   /// Retryable repair failure: re-enqueue `entry` with exponential backoff
   /// (kRepairRetried), or abandon it once the run has finished so the event
   /// queue is guaranteed to drain even under an unhealed partition.
@@ -168,25 +173,32 @@ class Cluster {
                                    static_cast<std::size_t>(node_rack_[worker]));
   }
 
-  /// --- map attempts ------------------------------------------------------
-  /// One entry per map task with >= 1 running attempt: the scheduler's
-  /// primary, plus at most one hedge (a speculative backup or a budgeted
-  /// clone) on another node. Key = task_key(job, map index).
-  enum class AttemptKind : std::uint8_t { kPrimary, kSpeculative, kClone };
-  struct MapAttempt {
+  /// --- task attempts -----------------------------------------------------
+  /// Maps and reduces share one attempt record, one completion path, one
+  /// retry budget and one kill rule. A map task runs the scheduler's
+  /// primary plus at most one hedge (a speculative backup or a budgeted
+  /// clone) on another node; a reduce runs one attempt.
+  enum class AttemptKind : std::uint8_t {
+    kPrimary, kSpeculative, kClone, kReduce
+  };
+  struct TaskAttempt {
+    JobId job = kInvalidJob;
     NodeId node = kInvalidNode;
     SimTime started = 0;
     sim::EventHandle completion;
     AttemptKind kind = AttemptKind::kPrimary;
-    /// Remote-read flow held by this attempt (released on completion or on
-    /// kill — a cancelled completion event can no longer release it).
+    /// Network flow held by this attempt (the remote read, or the shuffle),
+    /// released on completion or on kill — a cancelled completion event can
+    /// no longer release it.
     bool holds_flow = false;
     NodeId flow_src = kInvalidNode;
   };
+  /// One entry per map task with >= 1 running attempt. Key =
+  /// task_key(job, map index).
   struct MapTaskState {
     BlockId block = kInvalidBlock;
     sched::Locality original_locality = sched::Locality::kOffRack;
-    std::vector<MapAttempt> attempts;
+    std::vector<TaskAttempt> attempts;
   };
   static std::uint64_t task_key(JobId job, std::size_t map_index) {
     DARE_INVARIANT(job >= 0 && map_index < (1u << 20),
@@ -208,21 +220,39 @@ class Cluster {
   SimDuration start_map_attempt(NodeId worker, JobId job,
                                 std::size_t map_index,
                                 sched::Locality locality, AttemptKind kind);
+  /// Fill in a new attempt record and schedule its completion. `task` is
+  /// the map index, or the reduce's attempt id.
+  void arm_attempt(TaskAttempt& attempt, AttemptKind kind, NodeId worker,
+                   JobId job, std::size_t task, SimDuration duration,
+                   bool holds_flow, NodeId flow_src);
   /// Hedge target for a task with one running attempt: a free slot on an
   /// open node other than the attempt's, block-local first, else the
   /// lowest id; kInvalidNode when none is free.
   NodeId pick_backup_node(const MapTaskState& state) const;
   sched::Locality locality_of(NodeId worker, BlockId block) const;
   /// The one kill rule: cancel the completion, release a held flow, close
-  /// the trace slice, and retire a clone. Returns whether the completion
-  /// was still pending (the caller then decides about the slot).
-  bool drop_map_attempt(MapAttempt& attempt, JobId job, std::size_t map_index);
+  /// the trace slice, retire a clone, and, with `free_slot`, hand a still
+  /// pending attempt's slot back unless its node is dead. Returns whether
+  /// the completion was still pending.
+  bool drop_attempt(TaskAttempt& attempt, std::size_t task, bool free_slot);
+  /// Kill every running attempt `match` selects through drop_attempt: maps
+  /// in task-key order, then reduces in attempt-id order. On a `lost_node`
+  /// the node's slots already left the pool and the tasks are requeued;
+  /// otherwise (a failed job) the slots come back and the tasks are gone.
+  template <typename Match>
+  void kill_attempts(const Match& match, bool lost_node);
+  /// Back to the queue after an attempt was lost (fault or node loss): a
+  /// reduce at once, a map task once it has no attempt left.
+  void requeue_task(AttemptKind kind, NodeId worker, JobId job,
+                    std::size_t task);
 
   /// Speculative execution.
   void speculation_tick();
-  void on_map_attempt_finished(JobId job, std::size_t map_index,
-                               NodeId worker, bool remote_flow, NodeId src,
-                               double duration_s);
+  /// The one completion path: a zombie on a lost node stays registered;
+  /// otherwise the slot comes back, then an injected fault counts against
+  /// the retry budget (requeue, or fail the job), or the attempt wins.
+  void on_attempt_finished(AttemptKind kind, JobId job, std::size_t task,
+                           NodeId worker);
   bool run_finished() const;
 
   /// --- stragglers: injection (physical truth) -----------------------------
@@ -253,7 +283,7 @@ class Cluster {
   void maybe_clone(JobId job, std::size_t map_index);
   /// Exactly-once clone retirement: decrements the cluster-wide and per-job
   /// running-clone counts. Called when a clone reports back and from
-  /// drop_map_attempt.
+  /// drop_attempt.
   void retire_clone(JobId job);
 
   /// Pick the replica source for a remote read: same rack first, then
@@ -400,10 +430,9 @@ class Cluster {
   /// Physical-death-to-declaration latency. Like every SimDuration total
   /// here, summed in integer time and converted to seconds once, at run end.
   SimDuration detection_latency_total_ = 0;
-  /// Failed (not killed) attempts per map task / per job's reduces — the
-  /// Hadoop retry budget (mapreduce.map.maxattempts).
-  std::unordered_map<std::uint64_t, std::size_t> map_attempt_failures_;
-  std::unordered_map<JobId, std::size_t> reduce_attempt_failures_;
+  /// Failed (not killed) attempts per map task, and per job for its
+  /// reduces — the Hadoop retry budget (mapreduce.map.maxattempts).
+  std::unordered_map<std::uint64_t, std::size_t> attempt_failures_;
 
   /// Static straggler model: per-node duration multiplier (>= 1.0), drawn
   /// at construction from the profile knobs.
@@ -455,17 +484,10 @@ class Cluster {
   /// Running reduce attempts, keyed by a monotonic attempt id (a job can
   /// run several reduces at once). std::map: iterated in key order when a
   /// node death sweeps its attempts, so requeue order is deterministic.
-  struct ReduceAttempt {
-    JobId job = kInvalidJob;
-    NodeId node = kInvalidNode;
-    bool holds_flow = false;
-    NodeId flow_src = kInvalidNode;
-    sim::EventHandle completion;
-  };
-  std::map<std::uint64_t, ReduceAttempt, std::less<std::uint64_t>,
-           common::SlabAllocator<std::pair<const std::uint64_t, ReduceAttempt>>>
+  std::map<std::size_t, TaskAttempt, std::less<std::size_t>,
+           common::SlabAllocator<std::pair<const std::size_t, TaskAttempt>>>
       running_reduces_;
-  std::uint64_t next_reduce_attempt_ = 0;
+  std::size_t next_reduce_attempt_ = 0;
   /// Per-job completed-map duration statistics (speculation estimator),
   /// with a cluster-wide fallback for jobs (e.g. single-map jobs) that have
   /// no completed sibling map to estimate from.

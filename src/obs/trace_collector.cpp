@@ -188,8 +188,8 @@ void TraceCollector::job_failed(JobId job) {
 }
 
 void TraceCollector::task_attempt_fault(NodeId node, JobId job,
-                                        std::int64_t task) {
-  record(EventKind::kTaskAttemptFault, node, job, task);
+                                        std::int64_t task, bool reduce) {
+  record(EventKind::kTaskAttemptFault, node, job, task, reduce ? 1 : 0);
 }
 
 void TraceCollector::replica_adopted(NodeId node, BlockId block,

@@ -65,7 +65,9 @@ class TraceCollector {
   void reduce_requeued(NodeId node, JobId job, std::int64_t attempt);
   void job_finished(JobId job, double turnaround_s);
   void job_failed(JobId job);
-  void task_attempt_fault(NodeId node, JobId job, std::int64_t task);
+  /// `task` is the map index, or the reduce attempt id when `reduce`.
+  void task_attempt_fault(NodeId node, JobId job, std::int64_t task,
+                          bool reduce);
 
   // --- replication decisions (remote reads only) --------------------------
   void replica_adopted(NodeId node, BlockId block, double budget_occupancy);

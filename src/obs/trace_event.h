@@ -27,10 +27,12 @@ enum class EventKind : std::uint8_t {
   kMapRequeued,        ///< attempt re-queued (node loss / injected failure)
   kReduceLaunched,     ///< task = attempt id
   kReduceFinished,     ///< task = attempt id, value = duration (s)
-  kReduceRequeued,     ///< reduce returned to the backlog after node loss
+  kReduceRequeued,     ///< reduce attempt killed: swept by node loss (the
+                       ///< reduce returns to the backlog) or its job failed
   kJobFinished,        ///< value = turnaround (s)
   kJobFailed,          ///< killed after a task exhausted its attempt budget
-  kTaskAttemptFault,   ///< injected (fault-model) attempt failure
+  kTaskAttemptFault,   ///< injected (fault-model) attempt failure; detail =
+                       ///< 1 for a reduce (task = attempt id), 0 for a map
 
   // Replication decisions (per-node policies, remote reads only).
   kReplicaAdopted,     ///< task = block, value = budget occupancy after

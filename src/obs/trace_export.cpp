@@ -50,10 +50,11 @@ bool is_close_kind(EventKind kind) {
          kind == EventKind::kReduceRequeued;
 }
 
-bool is_reduce_kind(EventKind kind) {
-  return kind == EventKind::kReduceLaunched ||
-         kind == EventKind::kReduceFinished ||
-         kind == EventKind::kReduceRequeued;
+bool is_reduce_event(const TraceEvent& e) {
+  return e.kind == EventKind::kReduceLaunched ||
+         e.kind == EventKind::kReduceFinished ||
+         e.kind == EventKind::kReduceRequeued ||
+         (e.kind == EventKind::kTaskAttemptFault && e.detail == 1);
 }
 
 /// Display name of a task-execution slice, keyed by its opening kind.
@@ -93,6 +94,32 @@ class JsonEventWriter {
 
 }  // namespace
 
+SlicePairing pair_task_slices(const std::vector<TraceEvent>& events) {
+  // Key is (node, job, task, is_reduce); a stack tolerates pathological
+  // nesting.
+  using SliceKey = std::tuple<NodeId, JobId, std::int64_t, bool>;
+  std::map<SliceKey, std::vector<std::size_t>> open;  // -> event indices
+  SlicePairing pairing;
+  pairing.opened_by.assign(events.size(), SlicePairing::kUnpaired);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    if (!is_open_kind(e.kind) && !is_close_kind(e.kind)) continue;
+    auto& stack = open[SliceKey{e.node, e.job, e.task, is_reduce_event(e)}];
+    if (is_open_kind(e.kind)) {
+      stack.push_back(i);
+    } else if (stack.empty()) {
+      pairing.unpaired_ends.push_back(i);
+    } else {
+      pairing.opened_by[i] = stack.back();
+      stack.pop_back();
+    }
+  }
+  for (const auto& [key, stack] : open) {
+    pairing.open.insert(pairing.open.end(), stack.begin(), stack.end());
+  }
+  return pairing;
+}
+
 void write_chrome_trace(const TraceCollector& trace, std::ostream& out) {
   const auto& events = trace.events();
 
@@ -119,54 +146,36 @@ void write_chrome_trace(const TraceCollector& trace, std::ostream& out) {
               << ",\"args\":{\"name\":\"node-" << n << "\"}}";
   }
 
-  // Pair task-attempt launch/end events into duration slices. Key is
-  // (node, job, task, is_reduce); a stack tolerates pathological nesting.
-  using SliceKey = std::tuple<NodeId, JobId, std::int64_t, bool>;
-  std::map<SliceKey, std::vector<std::size_t>> open;  // -> event indices
-
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
-    if (is_open_kind(e.kind)) {
-      open[SliceKey{e.node, e.job, e.task, is_reduce_kind(e.kind)}]
-          .push_back(i);
-      continue;
-    }
-    if (is_close_kind(e.kind)) {
-      const SliceKey key{e.node, e.job, e.task, is_reduce_kind(e.kind)};
-      const auto it = open.find(key);
-      if (it != open.end() && !it->second.empty()) {
-        const TraceEvent& start = events[it->second.back()];
-        it->second.pop_back();
-        w.begin() << "{\"name\":\"" << slice_name(start.kind)
-                  << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << event_tid(start)
-                  << ",\"ts\":" << start.t << ",\"dur\":" << (e.t - start.t)
-                  << ",\"args\":{\"job\":" << e.job << ",\"task\":" << e.task
-                  << ",\"end\":\"" << kind_name(e.kind) << "\",\"locality\":"
-                  << start.detail << ",\"value\":" << format_double(e.value)
-                  << "}}";
-        continue;
-      }
-      // No matching launch (e.g. trace enabled mid-run): fall through to an
-      // instant event so the record is not lost.
-    }
+  const auto write_instant = [&](const TraceEvent& e) {
     w.begin() << "{\"name\":\"" << kind_name(e.kind)
               << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":"
               << event_tid(e) << ",\"ts\":" << e.t << ",\"args\":";
     write_args(out, e);
     out << "}";
+  };
+  const SlicePairing slices = pair_task_slices(events);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    // A launch is written with its end, or as an instant below.
+    if (is_open_kind(e.kind)) continue;
+    if (slices.opened_by[i] != SlicePairing::kUnpaired) {
+      const TraceEvent& start = events[slices.opened_by[i]];
+      w.begin() << "{\"name\":\"" << slice_name(start.kind)
+                << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << event_tid(start)
+                << ",\"ts\":" << start.t << ",\"dur\":" << (e.t - start.t)
+                << ",\"args\":{\"job\":" << e.job << ",\"task\":" << e.task
+                << ",\"end\":\"" << kind_name(e.kind) << "\",\"locality\":"
+                << start.detail << ",\"value\":" << format_double(e.value)
+                << "}}";
+      continue;
+    }
+    // Not a task end, or an end with no matching launch (e.g. trace enabled
+    // mid-run): an instant event, so the record is not lost.
+    write_instant(e);
   }
 
   // Attempts still running when collection stopped: surface as instants.
-  for (const auto& [key, stack] : open) {
-    for (const std::size_t idx : stack) {
-      const TraceEvent& e = events[idx];
-      w.begin() << "{\"name\":\"" << kind_name(e.kind)
-                << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":"
-                << event_tid(e) << ",\"ts\":" << e.t << ",\"args\":";
-      write_args(out, e);
-      out << "}";
-    }
-  }
+  for (const std::size_t idx : slices.open) write_instant(events[idx]);
 
   // Time-series gauges as Perfetto counter tracks.
   for (const TimeSeriesSample& s : trace.series().samples()) {

@@ -14,11 +14,36 @@
 // traced runs of the same seed produce byte-identical output.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
+#include <limits>
+#include <vector>
+
+#include "obs/trace_event.h"
 
 namespace dare::obs {
 
 class TraceCollector;
+
+/// How a trace's task-attempt events pair into slices. Every attempt opens
+/// a slice on its node's track (kMapLaunched, kMapSpeculated,
+/// kCloneLaunched, kReduceLaunched) and every way it ends closes one
+/// (kMapFinished, kMapKilled, kCloneKilled, kTaskAttemptFault,
+/// kReduceFinished, kReduceRequeued), exactly once. Per (node, job, task,
+/// map or reduce) an end closes the most recent open launch; an end with
+/// nothing open (the trace was enabled mid-run) pairs with nothing.
+struct SlicePairing {
+  static constexpr std::size_t kUnpaired =
+      std::numeric_limits<std::size_t>::max();
+  /// Per event: the index of the launch it closes, or kUnpaired.
+  std::vector<std::size_t> opened_by;
+  /// Launches no end closed, ordered by slice key, then launch order.
+  std::vector<std::size_t> open;
+  /// Ends that closed no launch, in trace order.
+  std::vector<std::size_t> unpaired_ends;
+};
+
+SlicePairing pair_task_slices(const std::vector<TraceEvent>& events);
 
 void write_chrome_trace(const TraceCollector& trace, std::ostream& out);
 

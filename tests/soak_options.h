@@ -1,7 +1,8 @@
 // Shared soak configurations: the small churn workload and the layered
 // fault option sets the chaos soak runs (churn, + silent corruption,
-// + stragglers with the full mitigation stack). Also used by tests that
-// replay one soak case traced.
+// + stragglers with the full mitigation stack), and the hedged-churn set
+// the determinism digests pin. Also used by tests that replay one case
+// traced.
 #pragma once
 
 #include <cstdint>
@@ -70,6 +71,34 @@ inline ClusterOptions straggler_soak_options(SchedulerKind scheduler,
   opts.clone_budget_fraction = 0.15;
   opts.enable_speculation = true;
   return opts;
+}
+
+/// Every way a task attempt can end, in one 10-node wl1 run of 60 jobs:
+/// churn (node-loss sweeps, zombies), injected attempt faults that exhaust
+/// a tight retry budget (job failure), and both hedges (budgeted clones and
+/// speculative backups) racing their originals.
+inline ClusterOptions hedged_churn_options() {
+  auto options = paper_defaults(net::cct_profile(10), SchedulerKind::kFair,
+                                PolicyKind::kElephantTrap);
+  options.faults.enabled = true;
+  options.faults.mtbf_s = 80.0;
+  options.faults.mttr_s = 20.0;
+  options.faults.permanent_fraction = 0.2;
+  options.faults.task_failure_prob = 0.2;
+  options.faults.min_live_workers = 4;
+  options.max_task_attempts = 2;
+  options.rereplication_interval = from_seconds(2.0);
+  options.stragglers.enabled = true;
+  options.stragglers.degrade_mtbf_s = 60.0;
+  options.stragglers.degrade_duration_s = 30.0;
+  options.stragglers.tail_prob = 0.1;
+  options.stragglers.tail_cap = 8.0;
+  options.enable_straggler_detection = true;
+  options.straggler_detect_min_samples = 2;
+  options.enable_task_cloning = true;
+  options.clone_budget_fraction = 0.15;
+  options.enable_speculation = true;
+  return options;
 }
 
 }  // namespace dare::cluster

@@ -400,7 +400,7 @@ TEST_P(StragglerSoak, ChurnCorruptionAndStragglersSurvive) {
             metrics::fingerprint(result))
       << scheduler_name(scheduler) << "/" << policy_name(policy) << " seed "
       << seed;
-  EXPECT_EQ(obs::testing::open_map_slices(tracer), "")
+  EXPECT_EQ(obs::testing::unbalanced_task_slices(tracer), "")
       << scheduler_name(scheduler) << "/" << policy_name(policy) << " seed "
       << seed;
 

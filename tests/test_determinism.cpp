@@ -11,6 +11,7 @@
 
 #include "cluster/experiment.h"
 #include "metrics/run_metrics.h"
+#include "soak_options.h"
 
 namespace dare::cluster {
 namespace {
@@ -155,32 +156,10 @@ TEST(Determinism, NetworkFaultsEnabled) {
 }
 
 TEST(Determinism, HedgedChurnEnabled) {
-  // Every way a map attempt can end, in one run: churn (node-loss sweeps,
-  // zombies), injected attempt faults that exhaust a tight retry budget
-  // (job failure), and both hedges (budgeted clones and speculative
-  // backups) racing their originals. Pins the attempt lifecycle: launch
-  // draw order, backup-target choice and every kill path.
-  auto options = paper_defaults(net::cct_profile(kNodes), SchedulerKind::kFair,
-                                PolicyKind::kElephantTrap);
-  options.faults.enabled = true;
-  options.faults.mtbf_s = 80.0;
-  options.faults.mttr_s = 20.0;
-  options.faults.permanent_fraction = 0.2;
-  options.faults.task_failure_prob = 0.2;
-  options.faults.min_live_workers = 4;
-  options.max_task_attempts = 2;
-  options.rereplication_interval = from_seconds(2.0);
-  options.stragglers.enabled = true;
-  options.stragglers.degrade_mtbf_s = 60.0;
-  options.stragglers.degrade_duration_s = 30.0;
-  options.stragglers.tail_prob = 0.1;
-  options.stragglers.tail_cap = 8.0;
-  options.enable_straggler_detection = true;
-  options.straggler_detect_min_samples = 2;
-  options.enable_task_cloning = true;
-  options.clone_budget_fraction = 0.15;
-  options.enable_speculation = true;
-  expect_recorded_digest(options, 0x59789f2a79fc5606ULL);
+  // Every way a task attempt can end, in one run (see
+  // hedged_churn_options). Pins the attempt lifecycle: launch draw order,
+  // backup-target choice and every kill path.
+  expect_recorded_digest(hedged_churn_options(), 0x59789f2a79fc5606ULL);
 }
 
 TEST(Determinism, DifferentSeedsDiffer) {

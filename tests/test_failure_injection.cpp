@@ -1,15 +1,19 @@
-// Fault-tolerance tests: node failures, task re-execution, name-node
-// re-replication, and DARE's contribution to availability (Section IV-B:
-// dynamic replicas are first-order replicas and count toward availability).
+// Fault-tolerance tests: node failures, task re-execution, each way a task
+// attempt ends, name-node re-replication, and DARE's contribution to
+// availability (Section IV-B: dynamic replicas are first-order replicas and
+// count toward availability).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "cluster/experiment.h"
 #include "common/rng.h"
 #include "metrics/run_metrics.h"
+#include "obs/trace_collector.h"
+#include "trace_balance.h"
 
 namespace dare::cluster {
 namespace {
@@ -218,6 +222,154 @@ TEST(FailureInjection, DareReplicasImproveAvailabilityWindow) {
   };
   EXPECT_GT(total_replicas(dare), total_replicas(vanilla));
 }
+
+// --- each way a task attempt ends ----------------------------------------
+// One case per way a reduce attempt ends, each a traced run of the same
+// reduce-heavy workload and seed under the options that produce it. The
+// trace shows the end happened; then every case checks what any end must
+// leave behind: the cluster validates (every slot back, no leaked flow),
+// every map and reduce attempt's slice closed exactly once, and the
+// counters agree with the trace.
+
+using obs::EventKind;
+using obs::TraceEvent;
+
+/// wl2 on a catalog with large files: scans of 24-32 blocks run 6-8
+/// reduces at once.
+workload::Workload reduce_heavy_workload(std::uint64_t seed) {
+  workload::WorkloadOptions opts;
+  opts.num_jobs = 40;
+  opts.seed = seed;
+  opts.catalog.small_files = 8;
+  opts.catalog.large_files = 4;
+  opts.catalog.large_min_blocks = 24;
+  opts.catalog.large_max_blocks = 32;
+  return workload::make_wl2(opts);
+}
+
+/// Whether events[i] belongs to its job's failure: fail_job traces its
+/// kills, then kJobFailed, at the instant of the fault that failed it.
+bool fails_its_job(const std::vector<TraceEvent>& events, std::size_t i) {
+  for (std::size_t k = i + 1; k < events.size() && events[k].t == events[i].t;
+       ++k) {
+    if (events[k].kind == EventKind::kJobFailed &&
+        events[k].job == events[i].job) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Whether events[i]'s node is down: failed and not rejoined since.
+bool node_down(const std::vector<TraceEvent>& events, std::size_t i) {
+  bool down = false;
+  for (std::size_t k = 0; k < i; ++k) {
+    if (events[k].node != events[i].node) continue;
+    if (events[k].kind == EventKind::kNodeFailed) down = true;
+    if (events[k].kind == EventKind::kNodeRejoined) down = false;
+  }
+  return down;
+}
+
+bool reduce_fault(const TraceEvent& e) {
+  return e.kind == EventKind::kTaskAttemptFault && e.detail == 1;
+}
+
+void enable_churn(ClusterOptions& o) {
+  o.faults.enabled = true;
+  o.faults.mtbf_s = 30.0;
+  o.faults.mttr_s = 30.0;
+  o.faults.permanent_fraction = 0.0;
+  o.faults.min_live_workers = 4;
+}
+
+void enable_attempt_faults(ClusterOptions& o, std::size_t max_attempts) {
+  o.faults.enabled = true;
+  o.faults.mtbf_s = 1e9;  // no churn unless enable_churn overrides it
+  o.faults.task_failure_prob = 0.2;
+  o.max_task_attempts = max_attempts;
+}
+
+struct AttemptEnd {
+  const char* name;
+  void (*configure)(ClusterOptions&);
+  /// Whether events[i] is this way of ending, for a reduce attempt.
+  bool (*seen)(const std::vector<TraceEvent>&, std::size_t);
+};
+
+const AttemptEnd kAttemptEnds[] = {
+    {"reduce finishes", [](ClusterOptions&) {},
+     [](const std::vector<TraceEvent>& ev, std::size_t i) {
+       return ev[i].kind == EventKind::kReduceFinished;
+     }},
+    {"reduce faults and is requeued",
+     [](ClusterOptions& o) { enable_attempt_faults(o, 100); },
+     [](const std::vector<TraceEvent>& ev, std::size_t i) {
+       return reduce_fault(ev[i]) && !fails_its_job(ev, i);
+     }},
+    {"reduce fault exhausts the budget and fails the job",
+     [](ClusterOptions& o) { enable_attempt_faults(o, 2); },
+     [](const std::vector<TraceEvent>& ev, std::size_t i) {
+       return reduce_fault(ev[i]) && fails_its_job(ev, i);
+     }},
+    {"reduce killed by the node-loss sweep", enable_churn,
+     [](const std::vector<TraceEvent>& ev, std::size_t i) {
+       return ev[i].kind == EventKind::kReduceRequeued && !fails_its_job(ev, i);
+     }},
+    // On this seed the killed reduce is a zombie: its completion fired on
+    // the down node before the job failed, and the kill is its only end.
+    {"zombie reduce killed by fail_job",
+     [](ClusterOptions& o) {
+       enable_attempt_faults(o, 2);
+       enable_churn(o);
+     },
+     [](const std::vector<TraceEvent>& ev, std::size_t i) {
+       return ev[i].kind == EventKind::kReduceRequeued &&
+              fails_its_job(ev, i) && node_down(ev, i);
+     }},
+};
+
+class AttemptEnds : public ::testing::TestWithParam<AttemptEnd> {};
+
+TEST_P(AttemptEnds, LeaveSlotsSlicesAndCountersStraight) {
+  const AttemptEnd& end = GetParam();
+  constexpr std::uint64_t kSeed = 12;
+  auto opts = paper_defaults(net::cct_profile(10), SchedulerKind::kFifo,
+                             PolicyKind::kVanilla, kSeed);
+  end.configure(opts);
+  obs::TraceCollector tracer;
+  opts.tracer = &tracer;
+  Cluster cluster(opts);
+  const auto result = cluster.run(reduce_heavy_workload(kSeed));
+  const auto& events = tracer.events();
+
+  std::size_t seen = 0;
+  std::size_t faults = 0;
+  std::size_t failed = 0;
+  std::size_t requeues = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    if (end.seen(events, i)) ++seen;
+    if (e.kind == EventKind::kTaskAttemptFault) ++faults;
+    if (e.kind == EventKind::kJobFailed) ++failed;
+    // A map task is requeued by name; a reduce after a fault or a kill
+    // that did not fail its job.
+    if (e.kind == EventKind::kMapRequeued ||
+        ((reduce_fault(e) || e.kind == EventKind::kReduceRequeued) &&
+         !fails_its_job(events, i))) {
+      ++requeues;
+    }
+  }
+  EXPECT_GT(seen, 0u) << end.name << ": the end never happened";
+  EXPECT_NO_THROW(cluster.validate()) << end.name;
+  EXPECT_EQ(obs::testing::unbalanced_task_slices(tracer), "") << end.name;
+  EXPECT_EQ(result.task_attempt_failures, faults) << end.name;
+  EXPECT_EQ(result.failed_jobs, failed) << end.name;
+  EXPECT_EQ(result.task_reexecutions, requeues) << end.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(EachEnd, AttemptEnds,
+                         ::testing::ValuesIn(kAttemptEnds));
 
 }  // namespace
 }  // namespace dare::cluster

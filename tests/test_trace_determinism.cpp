@@ -10,8 +10,10 @@
 //     byte-identical Chrome-trace JSON and events CSV (timestamps are
 //     sim-time only; dare_lint bans wall clocks in src/obs).
 //
-//  3. Every map attempt's trace slice closes, including a zombie (its node
-//     was lost after its completion fired) killed when a sibling wins.
+//  3. Every task attempt's trace slice, map or reduce, closes exactly once:
+//     a zombie (its node was lost after its completion fired) killed when a
+//     sibling wins or its job fails, and a reduce whose fault used up the
+//     retry budget, included.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -153,8 +155,21 @@ TEST(TraceDeterminism, KilledZombieMapAttemptsCloseTheirSlices) {
     obs::TraceCollector tracer;
     options.tracer = &tracer;
     run_once(options, soak_workload(seed));
-    EXPECT_EQ(obs::testing::open_map_slices(tracer), "") << "seed " << seed;
+    EXPECT_EQ(obs::testing::unbalanced_task_slices(tracer), "")
+        << "seed " << seed;
   }
+}
+
+TEST(TraceDeterminism, HedgedChurnClosesEveryTaskSlice) {
+  // Churn, attempt faults against a budget of two, and both hedges: jobs
+  // fail with reduces and zombies still running, and reduce faults use up
+  // the budget.
+  auto options = hedged_churn_options();
+  obs::TraceCollector tracer;
+  options.tracer = &tracer;
+  const auto result = run_once(options, standard_wl1(kNodes, kJobs));
+  ASSERT_GT(result.failed_jobs, 0u);
+  EXPECT_EQ(obs::testing::unbalanced_task_slices(tracer), "");
 }
 
 }  // namespace

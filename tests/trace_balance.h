@@ -1,54 +1,33 @@
-// Slice balance of a traced run's map attempts. Every map attempt opens a
-// slice on its node's track (kMapLaunched, kMapSpeculated, kCloneLaunched)
-// and every way an attempt can end must close it (kMapFinished,
-// kMapKilled, kCloneKilled, kTaskAttemptFault); a slice left open renders
-// in Perfetto as an attempt that runs to the end of the trace.
+// Slice balance of a traced run's task attempts, by the pairing rule the
+// Chrome-trace exporter uses (obs::pair_task_slices): every map and reduce
+// attempt ends with exactly one closing event. A slice left open renders in
+// Perfetto as an attempt that runs to the end of the trace; an unpaired end
+// renders as a stray instant.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <sstream>
 #include <string>
-#include <tuple>
-#include <vector>
 
 #include "obs/trace_collector.h"
+#include "obs/trace_export.h"
 
 namespace dare::obs::testing {
 
-/// The map slices `trace` leaves open, one line each ("node N job J map M
-/// launched at T us"); empty when every slice closed. Pairs events the way
-/// the Chrome-trace exporter does: per (node, job, map index), an end
-/// closes the most recent open launch, and an end with nothing open (a
-/// faulted clone's kCloneKilled after its kTaskAttemptFault) is ignored.
-inline std::string open_map_slices(const TraceCollector& trace) {
-  using Key = std::tuple<NodeId, JobId, std::int64_t>;
-  std::map<Key, std::vector<SimTime>> open;
-  for (const TraceEvent& e : trace.events()) {
-    switch (e.kind) {
-      case EventKind::kMapLaunched:
-      case EventKind::kMapSpeculated:
-      case EventKind::kCloneLaunched:
-        open[Key{e.node, e.job, e.task}].push_back(e.t);
-        break;
-      case EventKind::kMapFinished:
-      case EventKind::kMapKilled:
-      case EventKind::kCloneKilled:
-      case EventKind::kTaskAttemptFault: {
-        const auto it = open.find(Key{e.node, e.job, e.task});
-        if (it != open.end() && !it->second.empty()) it->second.pop_back();
-        break;
-      }
-      default:
-        break;
-    }
-  }
+/// The launches `trace` never ends and the ends that close no launch, one
+/// line each ("reduce_launched node N job J task T at T us never ended");
+/// empty when every launch has exactly one end.
+inline std::string unbalanced_task_slices(const TraceCollector& trace) {
+  const auto& events = trace.events();
+  const SlicePairing pairing = pair_task_slices(events);
   std::ostringstream out;
-  for (const auto& [key, launches] : open) {
-    for (const SimTime t : launches) {
-      out << "node " << std::get<0>(key) << " job " << std::get<1>(key)
-          << " map " << std::get<2>(key) << " launched at " << t << " us\n";
-    }
+  const auto describe = [&](std::size_t i, const char* what) {
+    const TraceEvent& e = events[i];
+    out << kind_name(e.kind) << " node " << e.node << " job " << e.job
+        << " task " << e.task << " at " << e.t << " us " << what << '\n';
+  };
+  for (const std::size_t i : pairing.open) describe(i, "never ended");
+  for (const std::size_t i : pairing.unpaired_ends) {
+    describe(i, "closed nothing");
   }
   return out.str();
 }
