@@ -1,12 +1,13 @@
 // Micro-benchmarks (google-benchmark) of the core data structures, proving
 // the per-event costs the simulator's throughput rests on: the event queue,
-// the ElephantTrap and LRU policy hooks, name-node metadata operations, and
-// the heavy-tailed samplers.
+// the ElephantTrap, LRU and LFU policy hooks, name-node metadata operations,
+// and the heavy-tailed samplers.
 #include <benchmark/benchmark.h>
 
 #include "common/distributions.h"
 #include "core/elephant_trap.h"
 #include "core/greedy_lru.h"
+#include "core/lfu.h"
 #include "net/profile.h"
 #include "sim/event_queue.h"
 #include "storage/namenode.h"
@@ -45,12 +46,9 @@ void BM_ZipfSample(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfSample)->Arg(100)->Arg(10000);
 
-void BM_ElephantTrapHook(benchmark::State& state) {
-  Rng rng(3);
-  storage::DataNode node(0, net::cct_profile().disk, rng);
-  core::ElephantTrapParams params;
-  params.p = 0.3;
-  core::ElephantTrapPolicy policy(node, 64 * 128 * kMiB, params, rng);
+/// One policy hook under the same stream: 256 blocks, four per file, every
+/// third read local, a 64-block budget.
+void run_policy_hook(benchmark::State& state, core::BudgetedPolicy& policy) {
   BlockId next = 0;
   for (auto _ : state) {
     const storage::BlockMeta meta{next % 256, (next % 256) / 4, 128 * kMiB};
@@ -58,6 +56,15 @@ void BM_ElephantTrapHook(benchmark::State& state) {
     ++next;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+void BM_ElephantTrapHook(benchmark::State& state) {
+  Rng rng(3);
+  storage::DataNode node(0, net::cct_profile().disk, rng);
+  core::ElephantTrapParams params;
+  params.p = 0.3;
+  core::ElephantTrapPolicy policy(node, 64 * 128 * kMiB, params, rng);
+  run_policy_hook(state, policy);
 }
 BENCHMARK(BM_ElephantTrapHook);
 
@@ -65,15 +72,17 @@ void BM_GreedyLruHook(benchmark::State& state) {
   Rng rng(4);
   storage::DataNode node(0, net::cct_profile().disk, rng);
   core::GreedyLruPolicy policy(node, 64 * 128 * kMiB);
-  BlockId next = 0;
-  for (auto _ : state) {
-    const storage::BlockMeta meta{next % 256, (next % 256) / 4, 128 * kMiB};
-    benchmark::DoNotOptimize(policy.on_map_task(meta, next % 3 == 0));
-    ++next;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  run_policy_hook(state, policy);
 }
 BENCHMARK(BM_GreedyLruHook);
+
+void BM_GreedyLfuHook(benchmark::State& state) {
+  Rng rng(4);
+  storage::DataNode node(0, net::cct_profile().disk, rng);
+  core::GreedyLfuPolicy policy(node, 64 * 128 * kMiB);
+  run_policy_hook(state, policy);
+}
+BENCHMARK(BM_GreedyLfuHook);
 
 void BM_NameNodeCreateFile(benchmark::State& state) {
   Rng rng(5);

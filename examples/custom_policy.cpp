@@ -1,6 +1,8 @@
-// Extending DARE: writing your own replication policy against the public
-// `core::ReplicationPolicy` interface and evaluating it inside the
-// simulator's storage layer.
+// Extending DARE: writing your own replication policy on the public
+// `core::BudgetedPolicy` base and evaluating it inside the simulator's
+// storage layer. The base runs the admission gates every DARE policy shares
+// (quarantine ban, budget, adopt/skip trace); a policy supplies its victim
+// rule and whatever bookkeeping that rule needs.
 //
 // The example implements a naive "first-K" policy — replicate the first K
 // distinct remotely-read blocks and never evict — and compares it with the
@@ -16,6 +18,7 @@
 #include "common/config.h"
 #include "common/distributions.h"
 #include "common/table.h"
+#include "core/budgeted_policy.h"
 #include "core/elephant_trap.h"
 #include "core/greedy_lru.h"
 #include "net/profile.h"
@@ -25,26 +28,19 @@ namespace {
 using namespace dare;
 
 /// A deliberately naive policy: trap the first K blocks it sees, forever.
-class FirstKPolicy final : public core::ReplicationPolicy {
+/// It tracks nothing and never evicts, so make_room is its only hook.
+class FirstKPolicy final : public core::BudgetedPolicy {
  public:
   FirstKPolicy(storage::DataNode& node, Bytes budget_bytes)
-      : node_(&node), budget_(budget_bytes) {}
-
-  bool on_map_task(const storage::BlockMeta& block, bool local) override {
-    if (local) return false;
-    if (node_->dynamic_bytes() + block.size > budget_) return false;
-    if (!node_->insert_dynamic(block)) return false;
-    ++created_;
-    return true;
-  }
+      : BudgetedPolicy(node, budget_bytes) {}
 
   std::string name() const override { return "first-k"; }
-  std::uint64_t replicas_created() const override { return created_; }
 
  private:
-  storage::DataNode* node_;
-  Bytes budget_;
-  std::uint64_t created_ = 0;
+  /// Never evict: once the budget is full, nothing new is adopted.
+  bool make_room(const storage::BlockMeta& incoming) override {
+    return node_->dynamic_bytes() + incoming.size <= budget_;
+  }
 };
 
 }  // namespace
@@ -132,7 +128,7 @@ int main(int argc, char** argv) {
                   std::to_string(budget_blocks) + " blocks)");
   std::cout << "\nfirst-k froze the pre-shift hot set; LRU and the "
                "ElephantTrap adapted. Implement your own\npolicy by "
-               "deriving from core::ReplicationPolicy (see FirstKPolicy in "
+               "deriving from core::BudgetedPolicy (see FirstKPolicy in "
                "this file).\n";
   return 0;
 }

@@ -385,20 +385,22 @@ void Cluster::start_heartbeats() {
 
 void Cluster::heartbeat(std::size_t worker) {
   if (node_dead(worker)) return;  // a dead node heartbeats no more
-  if (node_partitioned(worker)) {
-    // Lost at the partitioned boundary: the tracker keeps beating but the
-    // master never hears it, so the missed-beat detector will declare the
-    // node dead. Only the periodic chain is re-armed; pending block reports
-    // stay queued until the heal reconciles (or the next delivered beat
-    // drains them, for a blip shorter than the detection timeout).
-    if (!run_finished()) {
-      heartbeat_event_[worker] =
-          sim_.after(options_.heartbeat_interval, [this, worker] {
-            heartbeat(worker);
-          });
-    }
-    return;
+  // A partitioned node's beat is lost at the boundary: the tracker keeps
+  // beating but the master never hears it, so the missed-beat detector will
+  // declare the node dead. Only the periodic chain is re-armed; pending
+  // block reports stay queued until the heal reconciles (or the next
+  // delivered beat drains them, for a blip shorter than the detection
+  // timeout).
+  if (!node_partitioned(worker)) deliver_heartbeat(worker);
+  if (!run_finished()) {
+    heartbeat_event_[worker] =
+        sim_.after(options_.heartbeat_interval, [this, worker] {
+          heartbeat(worker);
+        });
   }
+}
+
+void Cluster::deliver_heartbeat(std::size_t worker) {
   obs::PhaseScope prof(profiler_, obs::Phase::kHeartbeat);
   name_node_->heartbeat_received(static_cast<NodeId>(worker), sim_.now());
   auto& dn = *data_nodes_[worker];
@@ -444,13 +446,6 @@ void Cluster::heartbeat(std::size_t worker) {
   // folds slow-node bookkeeping into tracker reports.
   if (options_.enable_straggler_detection) {
     straggler_decision(static_cast<NodeId>(worker));
-  }
-
-  if (!run_finished()) {
-    heartbeat_event_[worker] =
-        sim_.after(options_.heartbeat_interval, [this, worker] {
-          heartbeat(worker);
-        });
   }
 }
 
@@ -601,6 +596,9 @@ storage::NameNode::BadBlockResult Cluster::handle_bad_block(BlockId block,
 
 Cluster::ReadPlan Cluster::plan_read(NodeId worker, BlockId block, Bytes bytes,
                                      bool node_local) {
+  // Seconds to restore a block from the archival tier when no readable
+  // replica survives.
+  constexpr double kArchivalRestoreS = 60.0;
   const auto w = static_cast<std::size_t>(worker);
   ReadPlan plan;
   plan.src = worker;
@@ -622,16 +620,9 @@ Cluster::ReadPlan Cluster::plan_read(NodeId worker, BlockId block, Bytes bytes,
       plan.duration += from_seconds(options_.netfault.connect_timeout_s);
       ++result_.unreachable_reads;
     }
-    if (src == kInvalidNode) {
-      // Every other replica is on a dead or unreachable node or burned by
-      // quarantine: restore from the (simulated) archival tier — a fixed,
-      // painful penalty. This keeps jobs with genuinely lost blocks
-      // finishable instead of deadlocking the run.
-      plan.duration += from_seconds(60.0);
-      plan.src = worker;
-      plan.remote_flow = false;
-      return plan;
-    }
+    // Every other replica is on a dead or unreachable node or burned by
+    // quarantine: fall back to the archival tier.
+    if (src == kInvalidNode) break;
     // A remote read is bounded by both source disk and network path.
     const SimDuration disk = holder_read(static_cast<std::size_t>(src), bytes);
     const SimDuration net = network_->transfer_duration(src, worker, bytes);
@@ -641,14 +632,11 @@ Cluster::ReadPlan Cluster::plan_read(NodeId worker, BlockId block, Bytes bytes,
       // charged but no flow is held for the wasted leg (modeling
       // simplification). Retry from the next surviving replica —
       // kQuarantined removed this location, so the loop terminates.
+      // The only remaining copy is corrupt (kept, never deleted): fall back
+      // to the archival tier.
       if (handle_bad_block(block, src) ==
           storage::NameNode::BadBlockResult::kLastReplica) {
-        // The only remaining copy is corrupt (kept, never deleted): fall
-        // back to the archival tier.
-        plan.duration += from_seconds(60.0);
-        plan.src = worker;
-        plan.remote_flow = false;
-        return plan;
+        break;
       }
       continue;
     }
@@ -657,6 +645,12 @@ Cluster::ReadPlan Cluster::plan_read(NodeId worker, BlockId block, Bytes bytes,
     plan.remote_flow = true;
     return plan;
   }
+  // Restore from the (simulated) archival tier — a fixed, painful penalty
+  // that keeps jobs with genuinely lost blocks finishable instead of
+  // deadlocking the run. The plan keeps the reader as its source and holds
+  // no network flow.
+  plan.duration += from_seconds(kArchivalRestoreS);
+  return plan;
 }
 
 void Cluster::launch_map(NodeId worker, const sched::MapSelection& selection) {

@@ -106,7 +106,12 @@ class Cluster {
   /// its runtime is released, and drop its per-job side tables.
   void on_job_retired(const sched::JobRuntime& rt);
   void start_heartbeats();
+  /// One beat of `worker`'s periodic chain: delivered unless the node is
+  /// partitioned, then re-armed until the run finishes.
   void heartbeat(std::size_t worker);
+  /// Apply a beat the master heard: block-report deltas, lazy reclaim and
+  /// the straggler verdict.
+  void deliver_heartbeat(std::size_t worker);
 
   void try_assign_all();
   void try_assign_node(NodeId worker);

@@ -14,6 +14,9 @@
 // belonging to the incoming block's file is never evicted. Blocks are
 // inserted right before the eviction pointer, i.e. at the position that will
 // be scanned last — the newest replica gets the longest grace period.
+//
+// The admission gates are BudgetedPolicy's; this class keeps only the coin,
+// the aging ring and its victim rule.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +24,7 @@
 #include <unordered_map>
 
 #include "common/rng.h"
-#include "core/replication_policy.h"
+#include "core/budgeted_policy.h"
 
 namespace dare::core {
 
@@ -30,25 +33,13 @@ struct ElephantTrapParams {
   std::uint32_t threshold = 1;  ///< eviction threshold on the aged count
 };
 
-class ElephantTrapPolicy final : public ReplicationPolicy {
+class ElephantTrapPolicy final : public BudgetedPolicy {
  public:
   ElephantTrapPolicy(storage::DataNode& node, Bytes budget_bytes,
                      const ElephantTrapParams& params, Rng& rng);
 
-  bool on_map_task(const storage::BlockMeta& block, bool local) override;
-
-  /// Crash recovery: re-ring the surviving replicas with zeroed counts and
-  /// reset the eviction pointer (aging state is lost with the process).
-  /// Quarantined blocks are dropped.
-  void rebuild(const std::vector<storage::BlockMeta>& live_dynamic) override;
-
-  /// Forget a replica the name node quarantined out from under us.
-  void on_replica_dropped(BlockId block) override;
-
   std::string name() const override { return "elephant-trap"; }
-  std::uint64_t replicas_created() const override { return created_; }
 
-  Bytes budget_bytes() const { return budget_; }
   const ElephantTrapParams& params() const { return params_; }
   std::size_t tracked_blocks() const { return ring_.size(); }
 
@@ -62,6 +53,25 @@ class ElephantTrapPolicy final : public ReplicationPolicy {
   };
   using Ring = std::list<Entry>;
 
+  /// The single coin gates everything: replication of non-local reads and
+  /// count refreshes of local reads (probabilistic aging, Section IV-B).
+  bool sample() override { return rng_.bernoulli(params_.p); }
+
+  /// Count a sampled read of a tracked block.
+  bool refresh(BlockId block) override;
+
+  /// Mark victims until `incoming` fits; false as soon as one scan finds
+  /// nothing evictable (the incoming block is then not trapped).
+  bool make_room(const storage::BlockMeta& incoming) override;
+
+  /// Insert right before the eviction pointer: the freshly trapped block is
+  /// the last the aging scan will reach, giving it time to prove popularity.
+  void track(const storage::BlockMeta& block) override;
+  void forget(BlockId block) override;
+  /// Aging state is lost in a crash: the survivors are re-ringed with zeroed
+  /// counts and the eviction pointer restarts at the ring's head.
+  void reset(const std::vector<storage::BlockMeta>& survivors) override;
+
   /// markBlockForDeletion(evicting): circular scan with count halving.
   /// Returns true if a victim was marked; false -> do not replicate.
   bool mark_block_for_deletion(const storage::BlockMeta& evicting);
@@ -69,14 +79,15 @@ class ElephantTrapPolicy final : public ReplicationPolicy {
   /// Advance an iterator circularly.
   Ring::iterator advance(Ring::iterator it);
 
-  storage::DataNode* node_;
-  Bytes budget_;
+  /// Drop the entry at `pos` from the ring and the index; returns the ring
+  /// position that followed it (wrapping), or end() once the ring is empty.
+  Ring::iterator untrack(Ring::iterator pos);
+
   ElephantTrapParams params_;
   Rng rng_;
   Ring ring_;
   std::unordered_map<BlockId, Ring::iterator> index_;
   Ring::iterator eviction_pointer_;
-  std::uint64_t created_ = 0;
 };
 
 }  // namespace dare::core

@@ -5,55 +5,45 @@
 // LRU victims when the replication budget would be exceeded; victims
 // belonging to the same file as the incoming block are skipped (they share
 // its popularity, so evicting them would thrash). Victims are tombstoned for
-// lazy deletion by the data node.
+// lazy deletion by the data node. The admission gates are BudgetedPolicy's;
+// this class keeps only the usage queue and its victim rule.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <unordered_map>
 
-#include "core/replication_policy.h"
+#include "core/budgeted_policy.h"
 
 namespace dare::core {
 
-class GreedyLruPolicy final : public ReplicationPolicy {
+class GreedyLruPolicy final : public BudgetedPolicy {
  public:
-  /// `node` must outlive the policy. `budget_bytes` caps the total size of
-  /// live dynamic replicas on this node.
-  GreedyLruPolicy(storage::DataNode& node, Bytes budget_bytes);
-
-  bool on_map_task(const storage::BlockMeta& block, bool local) override;
-
-  /// Crash recovery: repopulate the LRU queue from the surviving replicas
-  /// (recency is lost; the given order — block id — becomes the new LRU
-  /// order, refreshed by subsequent reads). Quarantined blocks are dropped.
-  void rebuild(const std::vector<storage::BlockMeta>& live_dynamic) override;
-
-  /// Forget a replica the name node quarantined out from under us.
-  void on_replica_dropped(BlockId block) override;
+  GreedyLruPolicy(storage::DataNode& node, Bytes budget_bytes)
+      : BudgetedPolicy(node, budget_bytes) {}
 
   std::string name() const override { return "greedy-lru"; }
-  std::uint64_t replicas_created() const override { return created_; }
-
-  Bytes budget_bytes() const { return budget_; }
   std::size_t tracked_blocks() const { return order_.size(); }
 
  private:
+  /// Move a tracked block to the MRU end of the queue.
+  bool refresh(BlockId block) override;
+
   /// Evict LRU victims until `incoming` fits in the budget. Same-file
   /// victims are rotated to the MRU end rather than evicted. Returns false
   /// when no eviction could free enough space (every candidate shares the
   /// incoming block's file).
-  bool make_room(const storage::BlockMeta& incoming);
+  bool make_room(const storage::BlockMeta& incoming) override;
 
-  /// Move a block to the MRU end of the queue.
-  void touch(BlockId block);
+  void track(const storage::BlockMeta& block) override;
+  void forget(BlockId block) override;
+  /// Recency is lost in a crash: the survivors' order (block id) becomes
+  /// the new LRU order, refreshed by subsequent reads.
+  void reset(const std::vector<storage::BlockMeta>& survivors) override;
 
-  storage::DataNode* node_;
-  Bytes budget_;
   /// LRU queue: front = least recently used, back = most recently used.
   std::list<storage::BlockMeta> order_;
   std::unordered_map<BlockId, std::list<storage::BlockMeta>::iterator> index_;
-  std::uint64_t created_ = 0;
 };
 
 }  // namespace dare::core

@@ -4,33 +4,28 @@
 
 namespace dare::core {
 
-namespace {
-double budget_occupancy(const storage::DataNode& node, Bytes budget) {
-  return budget ? static_cast<double>(node.dynamic_bytes()) /
-                      static_cast<double>(budget)
-                : 0.0;
-}
-}  // namespace
-
-GreedyLfuPolicy::GreedyLfuPolicy(storage::DataNode& node, Bytes budget_bytes)
-    : node_(&node), budget_(budget_bytes) {}
-
 std::uint64_t GreedyLfuPolicy::frequency(BlockId block) const {
   const auto it = entries_.find(block);
   return it == entries_.end() ? 0 : it->second.count;
 }
 
-void GreedyLfuPolicy::rebuild(
-    const std::vector<storage::BlockMeta>& live_dynamic) {
-  entries_.clear();
-  for (const auto& meta : live_dynamic) {
-    if (node_->is_quarantined(meta.id)) continue;
-    entries_[meta.id] = Entry{meta, 0, tie_counter_++};
-  }
+bool GreedyLfuPolicy::refresh(BlockId block) {
+  const auto it = entries_.find(block);
+  if (it == entries_.end()) return false;
+  ++it->second.count;
+  return true;
 }
 
-void GreedyLfuPolicy::on_replica_dropped(BlockId block) {
-  entries_.erase(block);
+void GreedyLfuPolicy::track(const storage::BlockMeta& block) {
+  entries_[block.id] = Entry{block, 1, tie_counter_++};
+}
+
+void GreedyLfuPolicy::reset(
+    const std::vector<storage::BlockMeta>& survivors) {
+  entries_.clear();
+  for (const auto& meta : survivors) {
+    entries_[meta.id] = Entry{meta, 0, tie_counter_++};
+  }
 }
 
 bool GreedyLfuPolicy::make_room(const storage::BlockMeta& incoming) {
@@ -57,61 +52,6 @@ bool GreedyLfuPolicy::make_room(const storage::BlockMeta& incoming) {
     }
     node_->mark_for_deletion(victim_id);
     entries_.erase(victim_id);
-  }
-  return true;
-}
-
-bool GreedyLfuPolicy::on_map_task(const storage::BlockMeta& block,
-                                  bool local) {
-  if (const auto it = entries_.find(block.id); it != entries_.end()) {
-    ++it->second.count;
-    if (tracer_ != nullptr && !local) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kAlreadyPresent,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-  if (local) return false;
-  if (node_->is_quarantined(block.id)) {
-    // A checksum failure burned this node's copy; adoption stays banned
-    // until a fresh authoritative copy arrives via re-replication.
-    if (tracer_ != nullptr) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kQuarantined,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-  if (block.size > budget_) {
-    if (tracer_ != nullptr) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kTooLarge,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-  if (!make_room(block)) {
-    if (tracer_ != nullptr) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kNoVictim,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-  if (!node_->insert_dynamic(block)) {
-    if (tracer_ != nullptr) {
-      tracer_->replica_skipped(node_->id(), block.id,
-                               obs::SkipReason::kAlreadyPresent,
-                               budget_occupancy(*node_, budget_));
-    }
-    return false;
-  }
-  entries_[block.id] = Entry{block, 1, tie_counter_++};
-  ++created_;
-  if (tracer_ != nullptr) {
-    tracer_->replica_adopted(node_->id(), block.id,
-                             budget_occupancy(*node_, budget_));
   }
   return true;
 }

@@ -57,7 +57,6 @@ const char* skip_reason_name(SkipReason reason) {
     case SkipReason::kTooLarge: return "too_large";
     case SkipReason::kAlreadyPresent: return "already_present";
     case SkipReason::kNoVictim: return "no_victim";
-    case SkipReason::kBelowThreshold: return "below_threshold";
     case SkipReason::kQuarantined: return "quarantined";
   }
   return "unknown";

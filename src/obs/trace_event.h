@@ -85,14 +85,14 @@ enum class EventKind : std::uint8_t {
 };
 
 /// Reasons a policy declined to adopt a remotely-read block
-/// (kReplicaSkipped's `detail` field).
+/// (kReplicaSkipped's `detail` field). The numeric values are part of the
+/// CSV export format; 4 is retired (no policy ever emitted it).
 enum class SkipReason : std::uint8_t {
-  kCoinFailed = 0,   ///< ElephantTrap probability draw came up false
-  kTooLarge,         ///< block bigger than the node's entire budget
-  kAlreadyPresent,   ///< replica already on disk (or adoption in flight)
-  kNoVictim,         ///< eviction could not free enough budget
-  kBelowThreshold,   ///< trap count below the promotion threshold
-  kQuarantined,      ///< block is locally quarantined after a bad-block report
+  kCoinFailed = 0,      ///< ElephantTrap probability draw came up false
+  kTooLarge = 1,        ///< block bigger than the node's entire budget
+  kAlreadyPresent = 2,  ///< replica already on disk (or adoption in flight)
+  kNoVictim = 3,        ///< eviction could not free enough budget
+  kQuarantined = 5,     ///< locally quarantined after a bad-block report
 };
 
 /// Stable display name, e.g. "map_launched". Never localized.

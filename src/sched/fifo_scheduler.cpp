@@ -7,62 +7,39 @@ namespace dare::sched {
 std::optional<MapSelection> FifoScheduler::select_map(
     NodeId node, SimTime /*now*/, JobTable& jobs,
     const BlockLocator& locator) {
+  // FIFO never declines: the oldest job with pending maps always launches.
+  const JobRuntime* head = nullptr;
   if (jobs.has_locality_index()) {
-    // FIFO never declines: the seed's arrival-order scan always launched
-    // from the oldest job with pending maps, so only that job needs probing.
-    // Walking past the reduce-phase prefix made the scan O(active jobs) per
-    // opportunity — the dominant cost of large FIFO runs.
+    // The ready set is keyed by arrival_seq, so its first element is that
+    // job. Walking past the reduce-phase prefix made the scan below
+    // O(active jobs) per opportunity — the dominant cost of large FIFO runs.
     const auto& ready = jobs.map_ready();
-    if (ready.empty()) return std::nullopt;
-    const JobRuntime& rt = *ready.begin()->second;
-    const JobId id = rt.spec.id;
-    if (const auto local = jobs.find_local_map(rt, node, locator)) {
-      if (tracer_ != nullptr) {
-        tracer_->scheduler_decision(
-            node, id, static_cast<int>(Locality::kNodeLocal), 0.0);
+    if (!ready.empty()) head = ready.begin()->second;
+  } else {
+    // Legacy path (A/B baseline, fake locators in tests): full scan.
+    for (const JobRuntime& rt : jobs.active_jobs()) {
+      if (!rt.pending_maps.empty()) {
+        head = &rt;
+        break;
       }
-      return MapSelection{id, *local, Locality::kNodeLocal};
     }
-    if (const auto rack = jobs.find_rack_local_map(rt, node, locator)) {
-      if (tracer_ != nullptr) {
-        tracer_->scheduler_decision(
-            node, id, static_cast<int>(Locality::kRackLocal), 0.0);
-      }
-      return MapSelection{id, *rack, Locality::kRackLocal};
-    }
-    if (tracer_ != nullptr) {
-      tracer_->scheduler_decision(
-          node, id, static_cast<int>(Locality::kOffRack), 0.0);
-    }
-    return MapSelection{id, 0, Locality::kOffRack};
   }
-  // Legacy path (A/B baseline, fake locators in tests): full scan.
-  for (const JobRuntime& rt : jobs.active_jobs()) {
-    if (rt.pending_maps.empty()) continue;
-    const JobId id = rt.spec.id;
-    // Hadoop's tiered preference within the head job: node-local, then
-    // rack-local, then any — but never wait.
-    if (const auto local = jobs.find_local_map(rt, node, locator)) {
-      if (tracer_ != nullptr) {
-        tracer_->scheduler_decision(
-            node, id, static_cast<int>(Locality::kNodeLocal), 0.0);
-      }
-      return MapSelection{id, *local, Locality::kNodeLocal};
-    }
-    if (const auto rack = jobs.find_rack_local_map(rt, node, locator)) {
-      if (tracer_ != nullptr) {
-        tracer_->scheduler_decision(
-            node, id, static_cast<int>(Locality::kRackLocal), 0.0);
-      }
-      return MapSelection{id, *rack, Locality::kRackLocal};
-    }
-    if (tracer_ != nullptr) {
-      tracer_->scheduler_decision(
-          node, id, static_cast<int>(Locality::kOffRack), 0.0);
-    }
-    return MapSelection{id, 0, Locality::kOffRack};
+  if (head == nullptr) return std::nullopt;
+  // Hadoop's tiered preference within the head job: node-local, then
+  // rack-local, then any — but never wait.
+  const JobId id = head->spec.id;
+  MapSelection pick{id, 0, Locality::kOffRack};
+  if (const auto local = jobs.find_local_map(*head, node, locator)) {
+    pick = MapSelection{id, *local, Locality::kNodeLocal};
+  } else if (const auto rack =
+                 jobs.find_rack_local_map(*head, node, locator)) {
+    pick = MapSelection{id, *rack, Locality::kRackLocal};
   }
-  return std::nullopt;
+  if (tracer_ != nullptr) {
+    tracer_->scheduler_decision(node, id, static_cast<int>(pick.locality),
+                                0.0);
+  }
+  return pick;
 }
 
 std::optional<JobId> FifoScheduler::select_reduce(JobTable& jobs) {
