@@ -7,6 +7,7 @@
 //                  [plus cluster overrides: policy=, scheduler=, seed=, ...]
 #include <algorithm>
 #include <iostream>
+#include <stdexcept>
 
 #include "cluster/experiment.h"
 #include "common/config.h"
@@ -19,6 +20,11 @@ constexpr const char kUsage[] =
     "                 [plus cluster overrides: policy=, scheduler=, seed=,\n"
     "                  corruption=, bitrot_per_gb=, sector_mtbf_s=, ...]\n"
     "Arguments are key=value tokens; anything else is rejected.\n";
+
+/// Everything after the argument check. Invalid options throw
+/// std::invalid_argument (from Config, apply_overrides or the Cluster
+/// constructor); main reports them as a usage error.
+int run(const dare::Config& cfg);
 
 }  // namespace
 
@@ -47,6 +53,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  try {
+    return run(cfg);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << '\n' << kUsage;
+    return 1;
+  }
+}
+
+namespace {
+
+int run(const dare::Config& cfg) {
+  using namespace dare;
   const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
   const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 300));
 
@@ -102,3 +120,5 @@ int main(int argc, char** argv) {
                "to 4 attempts before the job fails cleanly).\n";
   return 0;
 }
+
+}  // namespace

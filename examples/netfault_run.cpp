@@ -9,6 +9,7 @@
 //                      repair_policy=, repairs_per_uplink=, ...]
 #include <algorithm>
 #include <iostream>
+#include <stdexcept>
 
 #include "cluster/experiment.h"
 #include "common/config.h"
@@ -25,6 +26,11 @@ constexpr const char kUsage[] =
     "                     repairs_per_uplink=, repair_backoff_s=,\n"
     "                     policy=, scheduler=, seed=, ...]\n"
     "Arguments are key=value tokens; anything else is rejected.\n";
+
+/// Everything after the argument check. Invalid options throw
+/// std::invalid_argument (from Config, apply_overrides or the Cluster
+/// constructor); main reports them as a usage error.
+int run(const dare::Config& cfg);
 
 }  // namespace
 
@@ -53,6 +59,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  try {
+    return run(cfg);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << '\n' << kUsage;
+    return 1;
+  }
+}
+
+namespace {
+
+int run(const dare::Config& cfg) {
+  using namespace dare;
   const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
   const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 300));
 
@@ -129,3 +147,5 @@ int main(int argc, char** argv) {
          "open.\n";
   return 0;
 }
+
+}  // namespace

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "cluster/experiment.h"
 #include "common/config.h"
@@ -34,6 +35,11 @@ constexpr const char kUsage[] =
     "                 [plus cluster overrides: policy=, scheduler=, seed=,\n"
     "                  corruption=, bitrot_per_gb=, sector_mtbf_s=, ...]\n"
     "Arguments are key=value tokens; anything else is rejected.\n";
+
+/// Everything after the argument check. Invalid options throw
+/// std::invalid_argument (from Config, apply_overrides or the Cluster
+/// constructor); main reports them as a usage error.
+int run(const dare::Config& cfg);
 
 }  // namespace
 
@@ -63,6 +69,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  try {
+    return run(cfg);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << '\n' << kUsage;
+    return 1;
+  }
+}
+
+namespace {
+
+int run(const dare::Config& cfg) {
+  using namespace dare;
   const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 20));
   const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 120));
   const std::string out = cfg.get_string("out", "trace.json");
@@ -106,3 +124,5 @@ int main(int argc, char** argv) {
   profiler.write_report(std::cout);
   return 0;
 }
+
+}  // namespace

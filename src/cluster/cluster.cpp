@@ -2158,8 +2158,14 @@ void Cluster::validate() const {
         }
       }
     }
+    // Recount of the per-slot job counts the Fair scheduler's decline gate
+    // reads: jobs with >= 1 candidate on each node / in each rack.
+    std::vector<std::size_t> node_jobs(data_nodes_.size(), 0);
+    std::vector<std::size_t> rack_jobs(topology_->rack_count(), 0);
+    std::vector<bool> job_in_rack(topology_->rack_count());
     for (const auto& rt : jobs_.active_jobs()) {
       const JobId id = rt.spec.id;
+      std::fill(job_in_rack.begin(), job_in_rack.end(), false);
       for (std::size_t w = 0; w < data_nodes_.size(); ++w) {
         const auto node = static_cast<NodeId>(w);
         std::size_t expected_node = 0;
@@ -2168,6 +2174,12 @@ void Cluster::validate() const {
           const BlockId block = rt.spec.maps[mi].block;
           if (locator_->is_local(node, block)) ++expected_node;
           if (locator_->is_rack_local(node, block)) ++expected_rack;
+        }
+        if (expected_node > 0) ++node_jobs[w];
+        const auto rack = static_cast<std::size_t>(node_rack_[w]);
+        if (expected_rack > 0 && !job_in_rack[rack]) {
+          job_in_rack[rack] = true;
+          ++rack_jobs[rack];
         }
         if (locality_index_->node_candidates(id, node).size() !=
             expected_node) {
@@ -2179,6 +2191,24 @@ void Cluster::validate() const {
           fail("rack-candidate count diverges for job " + std::to_string(id) +
                " on node " + std::to_string(w));
         }
+      }
+    }
+    for (std::size_t w = 0; w < node_jobs.size(); ++w) {
+      const std::size_t counted =
+          locality_index_->node_job_count(static_cast<NodeId>(w));
+      if (counted != node_jobs[w]) {
+        fail("locality index counts " + std::to_string(counted) +
+             " jobs with candidates on node " + std::to_string(w) +
+             ", recount " + std::to_string(node_jobs[w]));
+      }
+    }
+    for (std::size_t r = 0; r < rack_jobs.size(); ++r) {
+      const std::size_t counted =
+          locality_index_->rack_job_count(static_cast<RackId>(r));
+      if (counted != rack_jobs[r]) {
+        fail("locality index counts " + std::to_string(counted) +
+             " jobs with candidates in rack " + std::to_string(r) +
+             ", recount " + std::to_string(rack_jobs[r]));
       }
     }
   }

@@ -43,6 +43,7 @@ void FairScheduler::sync_share_order(JobTable& jobs) {
     // First opportunity from this table: rebuild from scratch, then discard
     // the journal backlog (it is subsumed by the rebuild).
     synced_table_ = &jobs;
+    waiting_valid_ = false;
     share_order_.clear();
     share_keys_.clear();
     jobs.consume_fair_dirty();
@@ -51,7 +52,38 @@ void FairScheduler::sync_share_order(JobTable& jobs) {
     }
     return;
   }
-  for (JobId id : jobs.consume_fair_dirty()) update_share_entry(jobs, id);
+  const std::vector<JobId> dirty = jobs.consume_fair_dirty();
+  if (!dirty.empty()) waiting_valid_ = false;
+  for (JobId id : dirty) update_share_entry(jobs, id);
+}
+
+void FairScheduler::set_waiting_since(JobRuntime& rt, SimTime t) {
+  rt.waiting_since = t;
+  waiting_valid_ = false;
+}
+
+bool FairScheduler::declines_node(NodeId node, SimTime now,
+                                  const LocalityIndex& index) {
+  if (!waiting_valid_) {
+    all_stamped_ = true;
+    oldest_waiting_ = kTimeNever;
+    for (const ShareKey& key : share_order_) {
+      if (key.rt->waiting_since == kTimeNever) {
+        all_stamped_ = false;
+        break;
+      }
+      oldest_waiting_ = std::min(oldest_waiting_, key.rt->waiting_since);
+    }
+    waiting_valid_ = true;
+  }
+  // An unstamped job stamps (and maybe traces) at any node. Every other
+  // job has waited at most now - oldest: below node_delay_ it launches only
+  // node-local, below node_delay_ + rack_delay_ at most rack-local.
+  if (!all_stamped_ || share_order_.empty()) return false;
+  const SimDuration waited = now - oldest_waiting_;
+  if (waited >= node_delay_ + rack_delay_) return false;
+  if (index.node_has_candidates(node)) return false;
+  return waited < node_delay_ || !index.rack_has_candidates(node);
 }
 
 std::optional<MapSelection> FairScheduler::try_job(JobRuntime& rt, NodeId node,
@@ -67,12 +99,12 @@ std::optional<MapSelection> FairScheduler::try_job(JobRuntime& rt, NodeId node,
       tracer_->scheduler_decision(
           node, id, static_cast<int>(Locality::kNodeLocal), waited_s);
     }
-    rt.waiting_since = kTimeNever;
+    set_waiting_since(rt, kTimeNever);
     return MapSelection{id, *local, Locality::kNodeLocal};
   }
   if (rt.waiting_since == kTimeNever) {
     // First declined opportunity: start the delay clock.
-    rt.waiting_since = now;
+    set_waiting_since(rt, now);
     if (node_delay_ > 0) {
       if (tracer_ != nullptr) tracer_->delay_wait(node, id);
       return std::nullopt;
@@ -87,7 +119,7 @@ std::optional<MapSelection> FairScheduler::try_job(JobRuntime& rt, NodeId node,
                                     static_cast<int>(Locality::kRackLocal),
                                     to_seconds(waited));
       }
-      rt.waiting_since = kTimeNever;
+      set_waiting_since(rt, kTimeNever);
       return MapSelection{id, *rack, Locality::kRackLocal};
     }
     if (waited >= node_delay_ + rack_delay_) {
@@ -97,7 +129,7 @@ std::optional<MapSelection> FairScheduler::try_job(JobRuntime& rt, NodeId node,
                                     static_cast<int>(Locality::kOffRack),
                                     to_seconds(waited));
       }
-      rt.waiting_since = kTimeNever;
+      set_waiting_since(rt, kTimeNever);
       return MapSelection{id, 0, Locality::kOffRack};
     }
   }
@@ -109,6 +141,10 @@ std::optional<MapSelection> FairScheduler::select_map(
     NodeId node, SimTime now, JobTable& jobs, const BlockLocator& locator) {
   if (incremental_) {
     sync_share_order(jobs);
+    if (const LocalityIndex* index = jobs.locality_index();
+        index != nullptr && declines_node(node, now, *index)) {
+      return std::nullopt;
+    }
     // The loop body only touches waiting_since, never a share component, so
     // iterating the set while probing jobs is safe; a returned selection is
     // followed by a launch whose journal entry is drained next call.

@@ -16,6 +16,13 @@
 // is kept behind `incremental = false` as the A/B baseline for the
 // equivalence oracle and benchmarks; both paths produce bit-identical
 // selection sequences (same share product, same tie-breaking).
+//
+// Decline gate (incremental mode with a locality index only): once every
+// waiting job has stamped its delay clock, a node where the index counts no
+// candidate and no job's delay level admits a rack-local or off-rack launch
+// gets the answer every try_job would give — decline, with no stamp and no
+// trace — without asking any job. The facts it reads (all stamped, oldest
+// stamp) are cached and recomputed only after a stamp or share-order change.
 #pragma once
 
 #include <set>
@@ -73,6 +80,13 @@ class FairScheduler final : public Scheduler {
   std::optional<MapSelection> try_job(JobRuntime& rt, NodeId node, SimTime now,
                                       JobTable& jobs,
                                       const BlockLocator& locator);
+  /// Every write of a job's delay clock goes through here (it invalidates
+  /// the waiting summary).
+  void set_waiting_since(JobRuntime& rt, SimTime t);
+  /// True when every share-order job would decline `node` at `now` without
+  /// stamping: all are stamped, none is past both delay levels, the node
+  /// has no candidate, and the rack has none or no job is past node_delay.
+  bool declines_node(NodeId node, SimTime now, const LocalityIndex& index);
 
   SimDuration node_delay_;
   SimDuration rack_delay_;
@@ -90,6 +104,13 @@ class FairScheduler final : public Scheduler {
   std::unordered_map<JobId, ShareKey, std::hash<JobId>, std::equal_to<JobId>,
                      common::SlabAllocator<std::pair<const JobId, ShareKey>>>
       share_keys_;
+
+  /// Waiting summary over share_order_, valid until the next stamp write,
+  /// non-empty journal drain or rebuild: whether every job has stamped
+  /// waiting_since, and if so the oldest stamp.
+  bool waiting_valid_ = false;
+  bool all_stamped_ = false;
+  SimTime oldest_waiting_ = kTimeNever;
 
   /// Legacy-mode scratch, reused across calls so the per-opportunity sort
   /// at least stops allocating.

@@ -224,6 +224,8 @@ class JobTable {
   /// first add_job; the index must outlive the table's mutations.
   void attach_locality_index(LocalityIndex* index);
   bool has_locality_index() const { return index_ != nullptr; }
+  /// The attached index, or null.
+  const LocalityIndex* locality_index() const { return index_; }
 
   /// Find a pending map of `job` whose block is local to `node`.
   /// Returns the smallest matching position in pending_maps (the same

@@ -17,7 +17,9 @@ LocalityIndex::LocalityIndex(std::size_t num_nodes,
                              std::size_t num_racks)
     : num_nodes_(num_nodes),
       num_racks_(num_racks),
-      node_rack_(std::move(node_rack)) {
+      node_rack_(std::move(node_rack)),
+      node_jobs_(num_nodes, 0),
+      rack_jobs_(num_racks, 0) {
   if (num_nodes_ == 0 || num_racks_ == 0) {
     throw std::invalid_argument("LocalityIndex: need >= 1 node and rack");
   }
@@ -41,8 +43,19 @@ std::size_t LocalityIndex::rack_replicas(BlockId block, RackId rack) const {
   return count;
 }
 
-void LocalityIndex::drop_candidate(std::vector<std::uint32_t>& candidates,
-                                   std::uint32_t map_index) {
+void LocalityIndex::add_candidate(CandidateMap& map,
+                                  std::vector<std::uint32_t>& jobs_at,
+                                  std::uint32_t slot, std::uint32_t map_index) {
+  std::vector<std::uint32_t>& candidates = map.slot_mut(slot);
+  if (candidates.empty()) ++jobs_at[slot];
+  candidates.push_back(map_index);
+}
+
+void LocalityIndex::remove_candidate(CandidateMap& map,
+                                     std::vector<std::uint32_t>& jobs_at,
+                                     std::uint32_t slot,
+                                     std::uint32_t map_index) {
+  std::vector<std::uint32_t>& candidates = map.slot_mut(slot);
   const auto it =
       std::find(candidates.begin(), candidates.end(), map_index);
   DARE_INVARIANT(it != candidates.end(),
@@ -52,6 +65,12 @@ void LocalityIndex::drop_candidate(std::vector<std::uint32_t>& candidates,
   // pending position, not the first element).
   *it = candidates.back();
   candidates.pop_back();
+  if (candidates.empty()) {
+    DARE_INVARIANT(jobs_at[slot] > 0,
+                   "LocalityIndex: job count underflow at slot " +
+                       std::to_string(slot));
+    --jobs_at[slot];
+  }
 }
 
 LocalityIndex::JobState& LocalityIndex::job_state(JobId job) {
@@ -90,11 +109,11 @@ void LocalityIndex::replica_added(BlockId block, NodeId node) {
   const auto wit = watchers_.find(block);
   if (wit == watchers_.end()) return;
   for (const Watcher& w : wit->second) {
-    w.state->by_node.slot_mut(static_cast<std::uint32_t>(node))
-        .push_back(w.map_index);
+    add_candidate(w.state->by_node, node_jobs_,
+                  static_cast<std::uint32_t>(node), w.map_index);
     if (first_in_rack) {
-      w.state->by_rack.slot_mut(static_cast<std::uint32_t>(rack))
-          .push_back(w.map_index);
+      add_candidate(w.state->by_rack, rack_jobs_,
+                    static_cast<std::uint32_t>(rack), w.map_index);
     }
   }
 }
@@ -116,12 +135,11 @@ void LocalityIndex::replica_removed(BlockId block, NodeId node) {
   const auto wit = watchers_.find(block);
   if (wit == watchers_.end()) return;
   for (const Watcher& w : wit->second) {
-    drop_candidate(w.state->by_node.slot_mut(static_cast<std::uint32_t>(node)),
-                   w.map_index);
+    remove_candidate(w.state->by_node, node_jobs_,
+                     static_cast<std::uint32_t>(node), w.map_index);
     if (last_in_rack) {
-      drop_candidate(
-          w.state->by_rack.slot_mut(static_cast<std::uint32_t>(rack)),
-          w.map_index);
+      remove_candidate(w.state->by_rack, rack_jobs_,
+                       static_cast<std::uint32_t>(rack), w.map_index);
     }
   }
 }
@@ -134,7 +152,8 @@ void LocalityIndex::watch_map(JobId job, std::size_t map_index,
   const auto it = block_nodes_.find(block);
   if (it == block_nodes_.end()) return;  // block has no live replica
   for (NodeId n : it->second) {
-    state.by_node.slot_mut(static_cast<std::uint32_t>(n)).push_back(mi);
+    add_candidate(state.by_node, node_jobs_, static_cast<std::uint32_t>(n),
+                  mi);
   }
   // One rack-candidate entry per distinct rack holding a replica.
   for (std::size_t i = 0; i < it->second.size(); ++i) {
@@ -147,7 +166,8 @@ void LocalityIndex::watch_map(JobId job, std::size_t map_index,
       }
     }
     if (!seen) {
-      state.by_rack.slot_mut(static_cast<std::uint32_t>(rack)).push_back(mi);
+      add_candidate(state.by_rack, rack_jobs_,
+                    static_cast<std::uint32_t>(rack), mi);
     }
   }
 }
@@ -180,7 +200,8 @@ void LocalityIndex::unwatch_map(JobId job, std::size_t map_index,
                      std::to_string(job));
   JobState& state = jit->second;
   for (NodeId n : bit->second) {
-    drop_candidate(state.by_node.slot_mut(static_cast<std::uint32_t>(n)), mi);
+    remove_candidate(state.by_node, node_jobs_,
+                     static_cast<std::uint32_t>(n), mi);
   }
   for (std::size_t i = 0; i < bit->second.size(); ++i) {
     const RackId rack = node_rack_[static_cast<std::size_t>(bit->second[i])];
@@ -192,8 +213,8 @@ void LocalityIndex::unwatch_map(JobId job, std::size_t map_index,
       }
     }
     if (!seen) {
-      drop_candidate(state.by_rack.slot_mut(static_cast<std::uint32_t>(rack)),
-                     mi);
+      remove_candidate(state.by_rack, rack_jobs_,
+                       static_cast<std::uint32_t>(rack), mi);
     }
   }
 }
@@ -202,8 +223,11 @@ void LocalityIndex::job_retired(JobId job) {
   const auto it = jobs_.find(job);
   if (it == jobs_.end()) return;  // never had candidates
 #ifndef NDEBUG
+  // A live list would leave the job counted in node_jobs_ / rack_jobs_.
   DARE_INVARIANT(it->second.by_node.all_empty(),
                  "LocalityIndex: job retired with live node candidates");
+  DARE_INVARIANT(it->second.by_rack.all_empty(),
+                 "LocalityIndex: job retired with live rack candidates");
 #endif
   jobs_.erase(it);
 }
@@ -232,6 +256,20 @@ const std::vector<std::uint32_t>& LocalityIndex::rack_candidates(
 std::size_t LocalityIndex::replica_count(BlockId block) const {
   const auto it = block_nodes_.find(block);
   return it == block_nodes_.end() ? 0 : it->second.size();
+}
+
+std::size_t LocalityIndex::node_job_count(NodeId node) const {
+  if (node < 0 || static_cast<std::size_t>(node) >= num_nodes_) {
+    throw std::out_of_range("LocalityIndex: bad node id");
+  }
+  return node_jobs_[static_cast<std::size_t>(node)];
+}
+
+std::size_t LocalityIndex::rack_job_count(RackId rack) const {
+  if (rack < 0 || static_cast<std::size_t>(rack) >= num_racks_) {
+    throw std::out_of_range("LocalityIndex: bad rack id");
+  }
+  return rack_jobs_[static_cast<std::size_t>(rack)];
 }
 
 bool LocalityIndex::mirrors_replica(BlockId block, NodeId node) const {

@@ -20,6 +20,12 @@
 //  * watch/unwatch calls from the JobTable as maps enter and leave the
 //    pending set (job arrival, launch, failure requeue, job kill).
 //
+// Beside the per-job lists it keeps two per-slot job counts: how many jobs
+// have a non-empty by_node list at each node, and a non-empty by_rack list
+// in each rack. A zero count proves that no job can launch node-local
+// (rack-local) there, which lets the Fair scheduler decline a node in O(1)
+// instead of asking every waiting job (see FairScheduler::select_map).
+//
 // Equivalence with the linear scan: the scan returns the *first* pending
 // position whose block matches, so JobTable answers queries by taking the
 // argmin of pending-position over the candidate set (see
@@ -215,6 +221,17 @@ class LocalityIndex {
     return state.by_rack.find(static_cast<std::uint32_t>(node_rack_[node]));
   }
 
+  /// Some job has a pending map whose block is on `node` / in `node`'s
+  /// rack. False proves every job's node_candidates / rack_candidates there
+  /// are empty.
+  bool node_has_candidates(NodeId node) const {
+    return node_jobs_[static_cast<std::size_t>(node)] != 0;
+  }
+  bool rack_has_candidates(NodeId node) const {
+    return rack_jobs_[static_cast<std::size_t>(
+               node_rack_[static_cast<std::size_t>(node)])] != 0;
+  }
+
   /// Create-or-get the job's candidate state. The returned pointer is
   /// stable until job_retired(job).
   JobState* job_state_ptr(JobId job) { return &job_state(job); }
@@ -224,6 +241,10 @@ class LocalityIndex {
   std::size_t replica_count(BlockId block) const;
   /// True iff the mirror believes `node` holds a replica of `block`.
   bool mirrors_replica(BlockId block, NodeId node) const;
+  /// Jobs with >= 1 candidate on `node` / in `rack` (the counts behind
+  /// node_has_candidates / rack_has_candidates).
+  std::size_t node_job_count(NodeId node) const;
+  std::size_t rack_job_count(RackId rack) const;
 
  private:
   /// One pending map waiting on a block's replica set. Carries the owning
@@ -237,12 +258,23 @@ class LocalityIndex {
   JobState& job_state(JobId job);
   /// Replicas of `block` currently in `rack` (per the mirror).
   std::size_t rack_replicas(BlockId block, RackId rack) const;
-  static void drop_candidate(std::vector<std::uint32_t>& candidates,
-                             std::uint32_t map_index);
+  /// The only two ways a candidate list changes: append / swap-erase
+  /// `map_index` in `slot`'s list of `map`, counting the job in
+  /// `jobs_at[slot]` while that list is non-empty.
+  static void add_candidate(CandidateMap& map,
+                            std::vector<std::uint32_t>& jobs_at,
+                            std::uint32_t slot, std::uint32_t map_index);
+  static void remove_candidate(CandidateMap& map,
+                               std::vector<std::uint32_t>& jobs_at,
+                               std::uint32_t slot, std::uint32_t map_index);
 
   std::size_t num_nodes_;
   std::size_t num_racks_;
   std::vector<RackId> node_rack_;
+  /// node -> jobs whose by_node list there is non-empty; rack -> likewise
+  /// for by_rack.
+  std::vector<std::uint32_t> node_jobs_;
+  std::vector<std::uint32_t> rack_jobs_;
 
   /// Slab-backed maps (watcher and job nodes churn at task / job rate).
   template <typename K, typename V>

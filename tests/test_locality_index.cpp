@@ -6,17 +6,22 @@
 // launch/requeue, and job failure. The oracle drives two JobTables through
 // an identical randomized schedule — one answering from the index, one
 // scanning with a BlockLocator over the same replica map — and asserts
-// every single selection matches.
+// every single selection matches. The Fair oracle does the same one layer
+// up: a gated FairScheduler over the index against the legacy scheduler over
+// a scan, compared on every selection and every job's delay clock.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "sched/fair_scheduler.h"
 #include "sched/job_table.h"
 #include "sched/locality_index.h"
 #include "storage/namenode.h"
@@ -405,6 +410,317 @@ TEST(LocalityIndexOracleTest, RandomizedScheduleSelectsIdentically) {
     }
   }
 }
+
+/// Per-slot job counts (the Fair decline gate's input), checked after each
+/// index transition in both CandidateMap layouts: 4 nodes take the direct
+/// layout, 300 the sparse one. Nodes are laid out round-robin over two racks.
+class LocalityIndexCountTest : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  LocalityIndexCountTest() : index_(GetParam(), racks(GetParam()), 2) {}
+
+  static std::vector<RackId> racks(std::size_t nodes) {
+    std::vector<RackId> rack(nodes);
+    for (std::size_t n = 0; n < nodes; ++n) {
+      rack[n] = static_cast<RackId>(n % 2);
+    }
+    return rack;
+  }
+
+  /// Recount from the per-job lists and compare with the index's counts.
+  void expect_counts(const std::vector<JobId>& jobs) const {
+    for (NodeId n = 0; n < static_cast<NodeId>(GetParam()); ++n) {
+      std::size_t node_jobs = 0;
+      for (JobId j : jobs) {
+        node_jobs += index_.node_candidates(j, n).empty() ? 0 : 1;
+      }
+      EXPECT_EQ(index_.node_job_count(n), node_jobs) << "node " << n;
+      EXPECT_EQ(index_.node_has_candidates(n), node_jobs != 0) << "node " << n;
+    }
+    // Node r is in rack r, so it stands for its rack in the node-keyed
+    // rack queries.
+    for (RackId r = 0; r < 2; ++r) {
+      std::size_t rack_jobs = 0;
+      for (JobId j : jobs) {
+        rack_jobs += index_.rack_candidates(j, static_cast<NodeId>(r)).empty()
+                         ? 0
+                         : 1;
+      }
+      EXPECT_EQ(index_.rack_job_count(r), rack_jobs) << "rack " << r;
+      EXPECT_EQ(index_.rack_has_candidates(static_cast<NodeId>(r)),
+                rack_jobs != 0)
+          << "rack " << r;
+    }
+  }
+
+  LocalityIndex index_;
+};
+
+TEST_P(LocalityIndexCountTest, CountsFollowEveryTransitionAndDrainToZero) {
+  const std::vector<JobId> jobs{1, 2};
+  // Nodes 0 and 2 are in rack 0, node 1 in rack 1.
+  index_.replica_added(7, 0);
+  index_.watch_map(1, 0, 7);  // watch after replica
+  EXPECT_EQ(index_.node_job_count(0), 1u);
+  EXPECT_EQ(index_.rack_job_count(0), 1u);
+  EXPECT_EQ(index_.rack_job_count(1), 0u);
+  expect_counts(jobs);
+
+  index_.watch_map(1, 1, 7);  // a second map of the same job: no new job
+  EXPECT_EQ(index_.node_job_count(0), 1u);
+  index_.watch_map(2, 0, 7);  // a second job on the same node
+  EXPECT_EQ(index_.node_job_count(0), 2u);
+  EXPECT_EQ(index_.rack_job_count(0), 2u);
+  expect_counts(jobs);
+
+  index_.replica_added(7, 2);  // same rack: node count only
+  EXPECT_EQ(index_.node_job_count(2), 2u);
+  EXPECT_EQ(index_.rack_job_count(0), 2u);
+  index_.replica_added(7, 1);  // first replica in rack 1
+  EXPECT_EQ(index_.rack_job_count(1), 2u);
+  expect_counts(jobs);
+
+  index_.replica_removed(7, 0);  // rack 0 still holds node 2's copy
+  EXPECT_EQ(index_.node_job_count(0), 0u);
+  EXPECT_EQ(index_.rack_job_count(0), 2u);
+  expect_counts(jobs);
+
+  index_.unwatch_map(1, 0, 7);  // job 1 keeps map 1
+  EXPECT_EQ(index_.node_job_count(2), 2u);
+  index_.unwatch_map(2, 0, 7);  // job 2 drained
+  EXPECT_EQ(index_.node_job_count(2), 1u);
+  EXPECT_EQ(index_.rack_job_count(1), 1u);
+  expect_counts(jobs);
+
+  index_.replica_removed(7, 1);
+  index_.replica_removed(7, 2);  // job 1's map has no replica left
+  index_.unwatch_map(1, 1, 7);
+  expect_counts(jobs);
+  index_.job_retired(1);
+  index_.job_retired(2);
+  for (NodeId n = 0; n < static_cast<NodeId>(GetParam()); ++n) {
+    ASSERT_EQ(index_.node_job_count(n), 0u) << "node " << n;
+  }
+  EXPECT_EQ(index_.rack_job_count(0), 0u);
+  EXPECT_EQ(index_.rack_job_count(1), 0u);
+}
+
+TEST_P(LocalityIndexCountTest, RandomTransitionsKeepCountsExact) {
+  const auto nodes = static_cast<int>(GetParam());
+  Rng rng(GetParam());
+  std::unordered_map<BlockId, std::set<NodeId>> replicas;
+  // Watched (job, map, block) triples; jobs 0..3, blocks 0..5.
+  std::vector<std::tuple<JobId, std::uint32_t, BlockId>> watched;
+  std::uint32_t next_map = 0;
+  const std::vector<JobId> jobs{0, 1, 2, 3};
+  for (int step = 0; step < 600; ++step) {
+    const int action = static_cast<int>(rng.uniform_int(0, 2));
+    if (action == 0) {
+      const auto b = static_cast<BlockId>(rng.uniform_int(0, 5));
+      // Few distinct nodes, so replicas collide on nodes and racks.
+      const auto n = static_cast<NodeId>(rng.uniform_int(0, 5) % nodes);
+      if (replicas[b].count(n) != 0) {
+        replicas[b].erase(n);
+        index_.replica_removed(b, n);
+      } else {
+        replicas[b].insert(n);
+        index_.replica_added(b, n);
+      }
+    } else if (action == 1 || watched.empty()) {
+      const auto j = static_cast<JobId>(rng.uniform_int(0, 3));
+      const auto b = static_cast<BlockId>(rng.uniform_int(0, 5));
+      index_.watch_map(j, next_map, b);
+      watched.emplace_back(j, next_map++, b);
+    } else {
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(watched.size()) - 1));
+      const auto [j, m, b] = watched[pick];
+      index_.unwatch_map(j, m, b);
+      watched.erase(watched.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+    if (step % 50 == 0) expect_counts(jobs);
+  }
+  for (const auto& [j, m, b] : watched) index_.unwatch_map(j, m, b);
+  expect_counts(jobs);
+  for (NodeId n = 0; n < static_cast<NodeId>(GetParam()); ++n) {
+    ASSERT_EQ(index_.node_job_count(n), 0u) << "node " << n;
+  }
+  EXPECT_EQ(index_.rack_job_count(0), 0u);
+  EXPECT_EQ(index_.rack_job_count(1), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, LocalityIndexCountTest,
+                         ::testing::Values(std::size_t{4}, std::size_t{300}));
+
+/// Fair-level oracle for the decline gate: an indexed table under the
+/// incremental FairScheduler (gate on) and a scanned table under the legacy
+/// one (gate off) get one seeded stream of arrivals, replica deltas,
+/// launches from most selections, completions, requeues, kills and clock
+/// steps that cross both delay levels. Every selection and every job's
+/// waiting_since must match. Parameters: (node_delay, rack_delay) in units
+/// of kDelay.
+class FairGateOracleTest
+    : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(FairGateOracleTest, GatedSelectionsMatchScan) {
+  constexpr std::size_t kNodes = 16;
+  constexpr std::size_t kRacks = 8;
+  constexpr std::int64_t kBlocks = 60;
+  constexpr int kSteps = 20000;
+  const SimDuration kDelay = from_seconds(1.0);
+  const SimDuration node_delay = GetParam().first * kDelay;
+  const SimDuration rack_delay = GetParam().second * kDelay;
+
+  std::vector<RackId> node_rack(kNodes);
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    node_rack[n] = static_cast<RackId>(n % kRacks);
+  }
+  std::unordered_map<BlockId, std::set<NodeId>> replicas;
+  MapLocator locator(&replicas, &node_rack);
+
+  LocalityIndex index(kNodes, node_rack, kRacks);
+  JobTable indexed;
+  indexed.attach_locality_index(&index);
+  JobTable scanned;
+  FairScheduler gated(node_delay, rack_delay, /*incremental=*/true);
+  FairScheduler legacy(node_delay, rack_delay, /*incremental=*/false);
+
+  Rng rng(9000 + GetParam().first * 10 + GetParam().second);
+  const auto random_node = [&]() {
+    return static_cast<NodeId>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kNodes) - 1));
+  };
+  const auto toggle_replica = [&](BlockId b, NodeId n) {
+    if (replicas[b].count(n) != 0) {
+      replicas[b].erase(n);
+      index.replica_removed(b, n);
+    } else {
+      replicas[b].insert(n);
+      index.replica_added(b, n);
+    }
+  };
+  // Two replicas per block to start, as a placement would.
+  for (BlockId b = 0; b < kBlocks; ++b) {
+    toggle_replica(b, random_node());
+    if (replicas[b].size() < 2) {
+      const NodeId n = random_node();
+      if (replicas[b].count(n) == 0) toggle_replica(b, n);
+    }
+  }
+
+  SimTime now = 0;
+  JobId next_job = 0;
+  std::vector<JobId> live_jobs;
+  std::vector<std::pair<JobId, std::size_t>> running;  // (job, map index)
+  std::vector<Locality> running_tier;
+  int selections = 0;
+  int gate_cases = 0;  // opportunities the gate may answer alone
+
+  const auto drop_running = [&](std::size_t pick) {
+    running.erase(running.begin() + static_cast<std::ptrdiff_t>(pick));
+    running_tier.erase(running_tier.begin() +
+                       static_cast<std::ptrdiff_t>(pick));
+  };
+  const auto forget_if_retired = [&](JobId job) {
+    if (!indexed.has_job(job) || !indexed.job(job).active) {
+      live_jobs.erase(std::find(live_jobs.begin(), live_jobs.end(), job));
+    }
+  };
+
+  for (int step = 0; step < kSteps; ++step) {
+    const auto action = rng.uniform_int(0, 19);
+    if (action <= 2) {  // replica add/remove, also while jobs are stamped
+      toggle_replica(static_cast<BlockId>(rng.uniform_int(0, kBlocks - 1)),
+                     random_node());
+    } else if (action == 3 && live_jobs.size() < 10) {  // arrival
+      std::vector<BlockId> blocks;
+      const auto maps = rng.uniform_int(1, 5);
+      for (std::int64_t m = 0; m < maps; ++m) {
+        blocks.push_back(static_cast<BlockId>(rng.uniform_int(0, kBlocks - 1)));
+      }
+      const auto spec = make_job(next_job, blocks);
+      indexed.add_job(spec);
+      scanned.add_job(spec);
+      live_jobs.push_back(next_job++);
+    } else if (action == 4 && !running.empty()) {  // requeue
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(running.size()) - 1));
+      const auto [job, mi] = running[pick];
+      indexed.requeue_running_map(job, mi, running_tier[pick]);
+      scanned.requeue_running_map(job, mi, running_tier[pick]);
+      drop_running(pick);
+    } else if (action <= 6 && !running.empty()) {  // completion
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(running.size()) - 1));
+      const JobId job = running[pick].first;
+      indexed.complete_map(job, now);
+      scanned.complete_map(job, now);
+      drop_running(pick);
+      forget_if_retired(job);
+    } else if (action == 7 && !live_jobs.empty() &&
+               rng.uniform_int(0, 9) == 0) {  // rare: kill a job
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live_jobs.size()) - 1));
+      const JobId job = live_jobs[pick];
+      indexed.fail_job(job, now);
+      scanned.fail_job(job, now);
+      live_jobs.erase(live_jobs.begin() + static_cast<std::ptrdiff_t>(pick));
+      for (std::size_t r = running.size(); r-- > 0;) {
+        if (running[r].first == job) drop_running(r);
+      }
+    } else if (action <= 9) {  // clock step: short, or across a delay level
+      const std::int64_t quarters[] = {0, 1, 2, 4, 5, 9};
+      now += quarters[rng.uniform_int(0, 5)] * kDelay / 4;
+    } else {  // scheduling opportunity
+      const NodeId node = random_node();
+      bool all_stamped = true;
+      SimTime oldest = kTimeNever;
+      for (const JobRuntime& rt : indexed.active_jobs()) {
+        if (rt.pending_maps.empty()) continue;
+        all_stamped = all_stamped && rt.waiting_since != kTimeNever;
+        oldest = std::min(oldest, rt.waiting_since);
+      }
+      if (all_stamped && oldest != kTimeNever &&
+          now - oldest < node_delay + rack_delay &&
+          !index.node_has_candidates(node) &&
+          (now - oldest < node_delay || !index.rack_has_candidates(node))) {
+        ++gate_cases;
+      }
+
+      const auto a = gated.select_map(node, now, indexed, locator);
+      const auto b = legacy.select_map(node, now, scanned, locator);
+      ASSERT_EQ(a.has_value(), b.has_value()) << "step " << step;
+      for (JobId job : live_jobs) {
+        ASSERT_EQ(indexed.job(job).waiting_since,
+                  scanned.job(job).waiting_since)
+            << "step " << step << " job " << job;
+      }
+      if (!a) continue;
+      ASSERT_EQ(a->job, b->job) << "step " << step;
+      ASSERT_EQ(a->pending_index, b->pending_index) << "step " << step;
+      ASSERT_EQ(a->locality, b->locality) << "step " << step;
+      ++selections;
+      // A caller may drop a selection: the job's clock is reset all the
+      // same, with no launch (and so no share change) to follow.
+      if (rng.uniform_int(0, 9) == 0) continue;
+      const std::size_t launched =
+          indexed.launch_map(a->job, a->pending_index, a->locality);
+      ASSERT_EQ(scanned.launch_map(b->job, b->pending_index, b->locality),
+                launched);
+      running.emplace_back(a->job, launched);
+      running_tier.push_back(a->locality);
+    }
+  }
+  EXPECT_GT(selections, 200);
+  if (node_delay + rack_delay > 0) {
+    EXPECT_GT(gate_cases, 200);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Delays, FairGateOracleTest,
+                         ::testing::Values(std::make_pair(0, 0),
+                                           std::make_pair(0, 1),
+                                           std::make_pair(1, 0),
+                                           std::make_pair(1, 1)));
 
 TEST(CandidateMapTest, DirectAndSparseLayoutsAnswerIdentically) {
   // The two layouts behind CandidateMap must be observationally identical:

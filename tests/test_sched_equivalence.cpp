@@ -97,6 +97,53 @@ INSTANTIATE_TEST_SUITE_P(
                                          PolicyKind::kGreedyLru,
                                          PolicyKind::kElephantTrap)));
 
+// Fair's decline gate (per-node and per-rack candidate counts) at a scale
+// where CandidateMap takes its sparse layout (> 256 nodes), with churn and
+// silent corruption on so replica deltas and requeues land while waiting
+// jobs hold stamped delay clocks. Both the default delay and zero delay
+// (where the gate must never fire) must match the scan, and the indexed
+// cluster must pass validate(), which recounts the per-slot job counts.
+using ScaleCombo = std::tuple<PolicyKind, bool>;
+
+class SchedEquivalenceScale : public ::testing::TestWithParam<ScaleCombo> {};
+
+TEST_P(SchedEquivalenceScale, FaultedSparseLayoutFingerprintMatchesLegacy) {
+  ThrowOnInvariant guard;
+  const auto [policy, zero_delay] = GetParam();
+  constexpr std::size_t kNodes = 301;  // master + 300 workers
+  auto opts = paper_defaults(net::ec2_profile(kNodes), SchedulerKind::kFair,
+                             policy, 13);
+  if (zero_delay) opts.fair_delay = 0;
+  opts.faults.enabled = true;
+  opts.faults.mtbf_s = 400.0;
+  opts.faults.mttr_s = 20.0;
+  opts.faults.permanent_fraction = 0.2;
+  opts.faults.rack_correlation = 0.2;
+  opts.faults.task_failure_prob = 0.01;
+  opts.faults.min_live_workers = 200;
+  opts.corruption.enabled = true;
+  opts.corruption.bitrot_per_gb = 2.0;
+  opts.corruption.sector_mtbf_s = 200.0;
+  opts.rereplication_interval = from_seconds(2.0);
+  const auto wl = standard_wl1(kNodes, 300, 13);
+
+  auto indexed = opts;
+  indexed.use_locality_index = true;
+  Cluster cluster(indexed);
+  const auto result = cluster.run(wl);
+  EXPECT_NO_THROW(cluster.validate());
+  EXPECT_GT(result.node_failures, 0u);
+  EXPECT_GT(result.corrupt_reads, 0u);
+  EXPECT_EQ(metrics::fingerprint(result), fingerprint_with(opts, wl, false))
+      << policy_name(policy) << (zero_delay ? " fair_delay=0" : "");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FairAtScale, SchedEquivalenceScale,
+    ::testing::Combine(::testing::Values(PolicyKind::kVanilla,
+                                         PolicyKind::kElephantTrap),
+                       ::testing::Bool()));
+
 // Speculative execution consults the locator on its own path; make sure the
 // indexed mode agrees there too.
 TEST(SchedEquivalenceSpeculation, SpeculationFingerprintMatchesLegacy) {
